@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codes import LfsrSpec, lfsr_sequence, msequence_code, shift_code
+from .codes import DEFAULT_TAPS, LfsrSpec, lfsr_sequence, msequence_code, shift_code
 from .experiments import (
     MetricsReport,
     ScenarioConfig,
@@ -211,8 +211,16 @@ def _validate_family(n: int) -> list[str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    counts = range(args.min_registers, args.max_registers + 1)
+    unsupported = [n for n in counts if n not in DEFAULT_TAPS]
+    if unsupported:
+        raise CliError(
+            "config",
+            f"no built-in taps for register counts {unsupported}, supported "
+            f"{min(DEFAULT_TAPS)}..{max(DEFAULT_TAPS)}",
+        )
     failures = 0
-    for n in range(args.min_registers, args.max_registers + 1):
+    for n in counts:
         problems = _validate_family(n)
         if problems:
             failures += 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LfsrSpec, msequence_code
+from .codes import DEFAULT_TAPS, LfsrSpec, msequence_code
 from .metrics import (
     COW_LABELS,
     cow_states,
@@ -29,7 +29,7 @@ from .network import (
     UserChannel,
     propagate_envelope,
     propagate_photon,
-    receiver_density,
+    receiver_densities,
 )
 from .optics import FbgSpec
 from .signal import TimeGrid
@@ -59,6 +59,10 @@ DEFAULT_SIGMA_FILT = 8.0
 
 _KINDS = ("loss", "crosstalk", "fidelity", "trace")
 _DEFAULT_TRIALS = {"loss": 50, "crosstalk": 32, "fidelity": 64, "trace": 1}
+# (n_registers, users) when left as None; a trace sends one word per user
+# through one chain, so it takes one entry of each
+_DEFAULT_GRID = {"trace": ((15,), (5,))}
+_SWEEP_GRID = ((8, 10, 12), (5, 20, 50))
 _METRIC_NAMES = {
     "loss": "loss_probability",
     "crosstalk": "crosstalk_probability",
@@ -73,12 +77,13 @@ class ScenarioConfig:
     sigma_filt is quoted in units of 1/T; None picks DEFAULT_SIGMA_FILT.
     crosstalk_per_bin divides the integrated word crosstalk by bits_per_user;
     empty_drop_first puts the probed receiver first in the drop chain instead
-    of at its user position.
+    of at its user position. n_registers and users left as None take the
+    kind's default grid; a trace takes exactly one entry of each.
     """
 
     kind: str
-    n_registers: tuple[int, ...] = (8, 10, 12)
-    users: tuple[int, ...] = (5, 20, 50)
+    n_registers: tuple[int, ...] | None = None
+    users: tuple[int, ...] | None = None
     trials: int | None = None
     bits_per_user: int = 8
     samples_per_chip: int = 4
@@ -91,12 +96,32 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "n_registers", tuple(int(n) for n in self.n_registers))
-        object.__setattr__(self, "users", tuple(int(u) for u in self.users))
+        grid = _DEFAULT_GRID.get(self.kind, _SWEEP_GRID)
+        for name, default in zip(("n_registers", "users"), grid):
+            value = getattr(self, name)
+            value = default if value is None else tuple(int(v) for v in value)
+            object.__setattr__(self, name, value)
         if not self.n_registers or not self.users:
             raise ValueError("n_registers and users must be non-empty")
+        if self.kind == "trace" and (len(self.n_registers) > 1 or len(self.users) > 1):
+            raise ValueError(
+                f"a trace runs one register count and one user count, got "
+                f"n_registers={self.n_registers}, users={self.users}"
+            )
+        unsupported = [n for n in self.n_registers if n not in DEFAULT_TAPS]
+        if unsupported:
+            raise ValueError(
+                f"no built-in taps for n_registers {unsupported}, supported "
+                f"{min(DEFAULT_TAPS)}..{max(DEFAULT_TAPS)}"
+            )
         if any(u < 1 for u in self.users):
             raise ValueError(f"user counts must be >= 1, got {self.users}")
+        shortest = 2 ** min(self.n_registers) - 1
+        if max(self.users) >= shortest:
+            raise ValueError(
+                f"at most {shortest - 1} users fit the code family of "
+                f"n_registers={min(self.n_registers)}, got {max(self.users)}"
+            )
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.bits_per_user < 1:
@@ -132,8 +157,6 @@ def fidelity_config(**overrides) -> ScenarioConfig:
 
 
 def trace_config(**overrides) -> ScenarioConfig:
-    overrides.setdefault("n_registers", (15,))
-    overrides.setdefault("users", (5,))
     return ScenarioConfig(kind="trace", **overrides)
 
 
@@ -370,9 +393,13 @@ def run_fidelity(config: ScenarioConfig) -> MetricsReport:
 
 
 def run_trace(config: ScenarioConfig) -> TraceResult:
-    """One full word from every user, densities at every receiver."""
-    n = config.n_registers[0]
-    n_users = config.users[0]
+    """One full word from every user, densities at every receiver.
+
+    Each sender is walked once through the whole chain; that walk feeds
+    every receiver.
+    """
+    (n,) = config.n_registers
+    (n_users,) = config.users
     spreading = 2**n - 1
     base = msequence_code(LfsrSpec(n))
     grid = TimeGrid(
@@ -386,13 +413,8 @@ def run_trace(config: ScenarioConfig) -> TraceResult:
         word = tuple(int(b) for b in rng.integers(0, 2, config.bits_per_user))
         bits[uid] = word
         channels.append(UserChannel(uid, plan.codes[uid], word))
-    densities: dict[int, np.ndarray] = {}
-    detections: dict[int, np.ndarray] = {}
-    for receiver in plan.receivers:
-        traces = [propagate_photon(ch, receiver, plan) for ch in channels]
-        density = receiver_density(traces)
-        densities[receiver] = density
-        detections[receiver] = per_bin_detection(density, grid)
+    densities = receiver_densities(channels, plan)
+    detections = {r: per_bin_detection(d, grid) for r, d in densities.items()}
     return TraceResult(
         grid=grid,
         users=tuple(range(1, n_users + 1)),

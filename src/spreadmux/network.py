@@ -1,26 +1,38 @@
 """Add-drop chains: who modulates, who filters, and in which order.
 
 A plan is an ordered list of Add/Drop stages on one fibre. Photons never
-interact, so propagation is computed per (source, receiver) pair: the source
-photon enters at its own Add, is disturbed by every later Add and by every
-Drop ahead of the target, and is finally despread and reflected out at the
-target's Drop.
+interact, so each sender's photon is walked on its own: it enters at its own
+Add, is disturbed by every later Add, and at every later Drop splits into the
+part that receiver collects and the part that passes on. One walk per sender
+therefore serves every receiver; a single (source, receiver) delivery stops
+the walk at that receiver's Drop.
+
+Each plan builds an operator table on first use: every staged user's
+modulator waveform and the grating's responses. With ideal chip switching
+and a centred grating every operator of the chain is real, and the table
+walks photons in real arithmetic (real FFTs); otherwise it walks them as
+complex amplitudes.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .codes import SpreadingCode, shift_code
 from .optics import (
     FbgSpec,
-    demux_drop_path,
-    demux_through_path,
-    mux_new_path,
-    mux_old_path,
+    Grating,
+    ModulatorSpec,
+    despread,
+    drop_branch,
+    insert,
+    modulation_waveform,
+    through_branch,
 )
 from .signal import (
     PacketSpec,
@@ -34,12 +46,14 @@ __all__ = [
     "Stage",
     "UserChannel",
     "NetworkPlan",
+    "OperatorTable",
     "PhotonTrace",
     "channel_envelope",
     "propagate_envelope",
     "propagate_photon",
     "propagate_all",
     "receiver_density",
+    "receiver_densities",
 ]
 
 _KINDS = ("add", "drop")
@@ -124,9 +138,15 @@ class NetworkPlan:
     ) -> "NetworkPlan":
         """All Adds in add_order followed by all Drops in drop_order.
 
-        User i modulates with the base code circularly shifted by i.
+        User i modulates with the base code circularly shifted by i, so at
+        most len(base_code) - 1 users fit one code family.
         """
         users = sorted(set(add_order) | set(drop_order))
+        if len(users) >= len(base_code):
+            raise ValueError(
+                f"at most {len(base_code) - 1} users fit one code family, "
+                f"got {len(users)}"
+            )
         codes = {uid: shift_code(base_code, uid) for uid in users}
         stages = tuple(Stage("add", uid) for uid in add_order) + tuple(
             Stage("drop", uid) for uid in drop_order
@@ -151,17 +171,41 @@ class NetworkPlan:
         """Default chain: Add(1..N) then Drop(1..N), first in first out."""
         if n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {n_users}")
-        if n_users >= len(base_code):
-            raise ValueError(
-                f"at most {len(base_code) - 1} users fit one code family, "
-                f"got {n_users}"
-            )
         order = list(range(1, n_users + 1))
         return cls.from_orders(grid, fbg, base_code, order, order, transition_time)
 
     @property
     def receivers(self) -> tuple[int, ...]:
         return tuple(s.user_id for s in self.stages if s.kind == "drop")
+
+    @functools.cached_property
+    def operators(self) -> "OperatorTable":
+        """The plan's operator table, built on first use."""
+        real = self.transition_time == 0.0 and self.fbg.center_offset == 0.0
+        waveforms = {}
+        for stage in self.stages:
+            if stage.kind == "add":
+                spec = ModulatorSpec(
+                    self.codes[stage.user_id], self.grid.bin_duration, self.transition_time
+                )
+                waveforms[stage.user_id] = modulation_waveform(spec, self.grid)
+        return OperatorTable(Grating.on_grid(self.grid, self.fbg, real), waveforms)
+
+
+@dataclass(frozen=True, eq=False)
+class OperatorTable:
+    """Every staged user's modulator waveform, and the grating.
+
+    The operator is real when every waveform is a real +-1 train and the
+    grating is centred; photons then walk in real arithmetic.
+    """
+
+    grating: Grating
+    waveforms: Mapping[int, np.ndarray]
+
+    @property
+    def real(self) -> bool:
+        return self.grating.real
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,18 +219,56 @@ class PhotonTrace:
 
 def channel_envelope(channel: UserChannel, grid: TimeGrid) -> SampledEnvelope:
     """Initial amplitude: one unit Gaussian packet per 1-bit, common phase."""
-    if len(channel.bits) != grid.n_bins:
+    return _word_envelope(channel.bits, grid) * cmath.exp(1j * channel.global_phase)
+
+
+def _word_envelope(bits: Sequence[int], grid: TimeGrid) -> SampledEnvelope:
+    """Phase-0 amplitude of a word: one unit packet per 1-bit, all real."""
+    if len(bits) != grid.n_bins:
         raise ValueError(
-            f"channel sends {len(channel.bits)} bits but grid has "
-            f"{grid.n_bins} bins"
+            f"channel sends {len(bits)} bits but grid has {grid.n_bins} bins"
         )
     env = zero_envelope(grid)
-    for idx, bit in enumerate(channel.bits):
+    for idx, bit in enumerate(bits):
         if bit:
-            env = env + gaussian_packet(
-                grid, PacketSpec(bin_index=idx, global_phase=channel.global_phase)
-            )
+            env = env + gaussian_packet(grid, PacketSpec(bin_index=idx))
     return env
+
+
+def _walk(
+    samples: np.ndarray, source_id: int, plan: NetworkPlan
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Walk one input amplitude from the source's Add down the chain.
+
+    Yields (receiver_id, delivered samples) at every Drop after the source's
+    Add, in chain order; Drops ahead of that Add never see the photon. At a
+    Drop both output ports branch off one forward transform, and the through
+    port is computed only when the walk is resumed and a later Drop remains.
+    ``samples`` must suit the operator: real (any leading axes) for a real
+    table, real or complex for a complex one.
+    """
+    table = plan.operators
+    grating = table.grating
+    stages = plan.stages
+    start = stages.index(Stage("add", source_id))
+    last_drop = max((i for i, s in enumerate(stages) if s.kind == "drop"), default=-1)
+    if last_drop < start:
+        return
+    samples = insert(samples, table.waveforms[source_id], grating)
+    for pos in range(start + 1, last_drop + 1):
+        stage = stages[pos]
+        wave = table.waveforms[stage.user_id]
+        spectrum = despread(samples, wave, grating)
+        if stage.kind == "drop":
+            yield stage.user_id, drop_branch(spectrum, grating)
+            if pos == last_drop:
+                return
+        samples = through_branch(spectrum, wave, grating)
+
+
+def _check_source(source_id: int, plan: NetworkPlan) -> None:
+    if Stage("add", source_id) not in plan.stages:
+        raise ValueError(f"source user {source_id} has no Add stage in the plan")
 
 
 def propagate_envelope(
@@ -199,37 +281,35 @@ def propagate_envelope(
 
     Stages ahead of the source's own Add cannot touch the photon and are
     skipped. If the target Drop precedes the source Add the delivered
-    amplitude is identically zero.
+    amplitude is identically zero. Through a real operator, a complex input
+    walks as its stacked real and imaginary parts.
     """
     if env.grid != plan.grid:
         raise ValueError("envelope grid does not match the plan grid")
-    source_code = plan.codes.get(source_id)
-    if source_code is None or not any(
-        s.kind == "add" and s.user_id == source_id for s in plan.stages
-    ):
-        raise ValueError(f"source user {source_id} has no Add stage in the plan")
+    _check_source(source_id, plan)
     if receiver_id not in plan.receivers:
         raise ValueError(f"receiver {receiver_id} has no Drop stage in the plan")
+    stages = plan.stages
+    if stages.index(Stage("drop", receiver_id)) < stages.index(Stage("add", source_id)):
+        return zero_envelope(plan.grid)  # dropped before insertion
+    samples = env.samples
+    stacked = False
+    if plan.operators.real:
+        stacked = bool(np.any(samples.imag))
+        samples = np.stack([samples.real, samples.imag]) if stacked else samples.real
+    delivered = next(d for r, d in _walk(samples, source_id, plan) if r == receiver_id)
+    if stacked:
+        delivered = delivered[0] + 1j * delivered[1]
+    return SampledEnvelope(plan.grid, delivered)
 
-    tau = plan.transition_time
-    fbg = plan.fbg
-    in_line = False
-    for stage in plan.stages:
-        code = plan.codes[stage.user_id]
-        if not in_line:
-            if stage.kind == "drop" and stage.user_id == receiver_id:
-                return zero_envelope(plan.grid)  # dropped before insertion
-            if stage.kind == "add" and stage.user_id == source_id:
-                env = mux_new_path(env, code, fbg, tau)
-                in_line = True
-            continue
-        if stage.kind == "add":
-            env = mux_old_path(env, code, fbg, tau)
-        elif stage.user_id == receiver_id:
-            return demux_drop_path(env, code, fbg, tau)
-        else:
-            env = demux_through_path(env, code, fbg, tau)
-    raise AssertionError("unreachable: receiver drop stage was validated")
+
+def _check_channel(channel: UserChannel, plan: NetworkPlan) -> None:
+    planned = plan.codes.get(channel.user_id)
+    if planned is not None and not np.array_equal(planned.chips, channel.code.chips):
+        raise ValueError(
+            f"channel {channel.user_id} carries a code that differs from the "
+            f"plan assignment"
+        )
 
 
 def propagate_photon(
@@ -237,21 +317,22 @@ def propagate_photon(
     receiver_id: int,
     plan: NetworkPlan,
 ) -> PhotonTrace:
-    """Deliver one sender's photon amplitude to one receiver."""
-    planned = plan.codes.get(channel.user_id)
-    if planned is not None and not np.array_equal(planned.chips, channel.code.chips):
-        raise ValueError(
-            f"channel {channel.user_id} carries a code that differs from the "
-            f"plan assignment"
-        )
-    env = channel_envelope(channel, plan.grid)
+    """Deliver one sender's photon amplitude to one receiver.
+
+    The launch phase is common to every packet of the word and every stage
+    is linear, so the phase-0 word (a real amplitude) is walked and the
+    phase applied to what arrives.
+    """
+    _check_channel(channel, plan)
+    word = _word_envelope(channel.bits, plan.grid)
     if not any(channel.bits):
         # nothing launched; skip the walk but keep the trace shape
         if receiver_id not in plan.receivers:
             raise ValueError(f"receiver {receiver_id} has no Drop stage in the plan")
-        return PhotonTrace(channel.user_id, receiver_id, env)
-    delivered = propagate_envelope(env, channel.user_id, receiver_id, plan)
-    return PhotonTrace(channel.user_id, receiver_id, delivered)
+        return PhotonTrace(channel.user_id, receiver_id, word)
+    delivered = propagate_envelope(word, channel.user_id, receiver_id, plan)
+    phase = cmath.exp(1j * channel.global_phase)
+    return PhotonTrace(channel.user_id, receiver_id, delivered * phase)
 
 
 def propagate_all(
@@ -292,3 +373,28 @@ def receiver_density(
             raise ValueError("traces mix different receivers")
         density += tr.envelope.density
     return density
+
+
+def receiver_densities(
+    channels: Sequence[UserChannel],
+    plan: NetworkPlan,
+) -> dict[int, np.ndarray]:
+    """Photon-number density at every receiver, one walk per sender.
+
+    Each sender's walk feeds every receiver it reaches, and its delivered
+    densities are added into one array per receiver as the walk goes, in
+    channel order, as :func:`receiver_density` adds them for one receiver.
+    The launch phase cannot change a density, so it is not applied.
+    """
+    densities = {r: np.zeros(plan.grid.n_samples) for r in plan.receivers}
+    for channel in channels:
+        _check_channel(channel, plan)
+        _check_source(channel.user_id, plan)
+        samples = _word_envelope(channel.bits, plan.grid).samples
+        if not any(channel.bits):
+            continue
+        if plan.operators.real:
+            samples = samples.real
+        for receiver, delivered in _walk(samples, channel.user_id, plan):
+            densities[receiver] += np.abs(delivered) ** 2
+    return densities

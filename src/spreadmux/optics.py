@@ -5,13 +5,20 @@ chip per interval bin_duration / S, with the code restarting at every bin
 boundary. The grating is modelled as a zero-phase spectral splitter with a
 Gaussian reflection amplitude; reflection and transmission are energy
 complementary by construction.
+
+Every stage is built from three array primitives, shared by the public
+per-stage functions below and by the plan walk in ``network``: ``insert``
+(reflect, then spread), ``despread`` (the spectrum of passing light after the
+local modulator) and the two branches a grating splits that spectrum into,
+``drop_branch`` and ``through_branch``. A :class:`Grating` carries the
+responses and the transform pair they act through: real FFTs when the whole
+operator maps real amplitudes to real amplitudes, complex FFTs otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +29,15 @@ from .signal import SampledEnvelope, TimeGrid
 __all__ = [
     "ModulatorSpec",
     "FbgSpec",
+    "Grating",
     "modulation_waveform",
     "modulate",
+    "grating_response",
     "filter_response",
+    "insert",
+    "despread",
+    "drop_branch",
+    "through_branch",
     "fbg_reflect",
     "fbg_transmit",
     "mux_new_path",
@@ -65,10 +78,11 @@ class ModulatorSpec:
 def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
     """Sampled m(t) for one modulator on one grid.
 
-    With transition_time = 0 the waveform takes the chip values exactly
-    (+-1, or +-1j for the half_pi convention), so a same-code double pass is
-    an exact identity. With a finite transition time the phase follows a
-    raised-cosine ramp through each chip boundary and |m| stays 1.
+    With transition_time = 0 the waveform takes the chip values exactly, so
+    a same-code double pass is an exact identity: a real (float64) +-1 train
+    for the default (0, pi) drive, +-1j for the half_pi convention. With a
+    finite transition time the phase follows a raised-cosine ramp through
+    each chip boundary and |m| stays 1.
     """
     if len(spec.code) != grid.chips_per_bin:
         raise ValueError(
@@ -81,12 +95,11 @@ def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
     q = grid.samples_per_chip
     chips_full = np.tile(spec.code.chips, grid.n_bins).astype(np.float64)
     base = np.repeat(chips_full, q)
-    wave = (1j * base) if spec.half_pi else base.astype(np.complex128)
-
     tau = spec.transition_time
     if tau == 0.0:
-        return wave
+        return (1j * base) if spec.half_pi else base
 
+    wave = (1j * base) if spec.half_pi else base.astype(np.complex128)
     # chip phases under the active drive convention
     if spec.half_pi:
         chip_phase = chips_full * (math.pi / 2.0)
@@ -107,36 +120,13 @@ def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
         s = (delta_t[in_ramp] + tau / 2.0) / tau
         blend = 0.5 * (1.0 - np.cos(math.pi * s))
         phases = left + (right - left) * blend
-        wave = wave.copy()
         wave[in_ramp] = np.exp(1j * phases)
-    return wave
-
-
-# waveforms are reused across every stage walk of a plan, so cache them per
-# code object; the weak keying lets throwaway codes be collected
-_WAVEFORM_CACHE: "weakref.WeakKeyDictionary[SpreadingCode, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _cached_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
-    per_code = _WAVEFORM_CACHE.get(spec.code)
-    if per_code is None:
-        per_code = {}
-        _WAVEFORM_CACHE[spec.code] = per_code
-    key = (grid, spec.bin_duration, spec.transition_time, spec.half_pi)
-    wave = per_code.get(key)
-    if wave is None:
-        wave = modulation_waveform(spec, grid)
-        wave.setflags(write=False)
-        per_code[key] = wave
     return wave
 
 
 def modulate(env: SampledEnvelope, spec: ModulatorSpec) -> SampledEnvelope:
     """Apply the code waveform pointwise. Exactly norm preserving."""
-    wave = _cached_waveform(spec, env.grid)
-    return SampledEnvelope(env.grid, env.samples * wave)
+    return SampledEnvelope(env.grid, env.samples * modulation_waveform(spec, env.grid))
 
 
 @dataclass(frozen=True)
@@ -162,44 +152,111 @@ class FbgSpec:
             )
 
 
+def grating_response(
+    frequencies: np.ndarray, fbg: FbgSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(reflect, transmit) amplitudes of the grating at the given frequencies."""
+    if math.isinf(fbg.sigma_filt):
+        r = np.full(frequencies.shape, fbg.peak_reflectivity)
+    else:
+        x = (frequencies - fbg.center_offset) / fbg.sigma_filt
+        r = fbg.peak_reflectivity * np.exp(-0.5 * x * x)
+    t = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+    return r, t
+
+
 @functools.lru_cache(maxsize=64)
 def filter_response(grid: TimeGrid, fbg: FbgSpec) -> tuple[np.ndarray, np.ndarray]:
     """FFT-ordered (reflect, transmit) amplitude responses, cached read-only."""
-    f = grid.frequencies
-    if math.isinf(fbg.sigma_filt):
-        r = np.full(f.shape, fbg.peak_reflectivity)
-    else:
-        x = (f - fbg.center_offset) / fbg.sigma_filt
-        r = fbg.peak_reflectivity * np.exp(-0.5 * x * x)
-    t = np.sqrt(np.maximum(0.0, 1.0 - r * r))
+    r, t = grating_response(grid.frequencies, fbg)
     r.setflags(write=False)
     t.setflags(write=False)
     return r, t
 
 
-def _apply_filter(env: SampledEnvelope, response: np.ndarray) -> SampledEnvelope:
-    spectrum = np.fft.fft(env.samples)
-    return SampledEnvelope(env.grid, np.fft.ifft(spectrum * response))
+@dataclass(frozen=True, eq=False)
+class Grating:
+    """A grating's (reflect, transmit) responses on one grid's spectrum.
+
+    With real=True the responses sit on ``np.fft.rfftfreq`` and the grating
+    acts through rfft / irfft on real operands, which may carry leading axes
+    (a complex amplitude walks as its stacked real and imaginary parts).
+    That is exact only for a response even in frequency, i.e. a centred
+    grating. With real=False the responses sit on the full FFT-ordered
+    frequencies and the transform pair is fft / ifft.
+    """
+
+    n_samples: int
+    real: bool
+    reflect: np.ndarray
+    transmit: np.ndarray
+
+    @classmethod
+    def on_grid(cls, grid: TimeGrid, fbg: FbgSpec, real: bool) -> "Grating":
+        if real:
+            if fbg.center_offset != 0.0:
+                raise ValueError("an off-centre grating has no real-FFT form")
+            r, t = grating_response(np.fft.rfftfreq(grid.n_samples, d=grid.dt), fbg)
+        else:
+            r, t = filter_response(grid, fbg)
+        return cls(grid.n_samples, real, r, t)
+
+    def spectrum(self, samples: np.ndarray) -> np.ndarray:
+        return np.fft.rfft(samples) if self.real else np.fft.fft(samples)
+
+    def branch(self, spectrum: np.ndarray, response: np.ndarray) -> np.ndarray:
+        """Time samples of one output port: the spectrum times its response."""
+        filtered = spectrum * response
+        if self.real:
+            # the length is explicit because grids can have odd length
+            return np.fft.irfft(filtered, self.n_samples)
+        return np.fft.ifft(filtered)
+
+
+def insert(samples: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
+    """Add stage, inserted photon: reflected into the line, then spread."""
+    return wave * grating.branch(grating.spectrum(samples), grating.reflect)
+
+
+def despread(samples: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
+    """Spectrum of passing light after the local modulator; both ports of
+    the stage's grating branch off this one transform."""
+    return grating.spectrum(wave * samples)
+
+
+def drop_branch(spectrum: np.ndarray, grating: Grating) -> np.ndarray:
+    """Reflected port of a drop stage: what the local receiver collects."""
+    return grating.branch(spectrum, grating.reflect)
+
+
+def through_branch(spectrum: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
+    """Transmitted port, spread back with the local code."""
+    return wave * grating.branch(spectrum, grating.transmit)
 
 
 def fbg_reflect(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
     """Band-pass branch: amplitude R(f) applied in the frequency domain."""
-    reflect, _ = filter_response(env.grid, fbg)
-    return _apply_filter(env, reflect)
+    grating = Grating.on_grid(env.grid, fbg, real=False)
+    spectrum = grating.spectrum(env.samples)
+    return SampledEnvelope(env.grid, grating.branch(spectrum, grating.reflect))
 
 
 def fbg_transmit(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
     """Band-stop branch: amplitude sqrt(1 - R^2)."""
-    _, transmit = filter_response(env.grid, fbg)
-    return _apply_filter(env, transmit)
+    grating = Grating.on_grid(env.grid, fbg, real=False)
+    spectrum = grating.spectrum(env.samples)
+    return SampledEnvelope(env.grid, grating.branch(spectrum, grating.transmit))
 
 
-def _modulator(env: SampledEnvelope, code: SpreadingCode, transition_time: float) -> ModulatorSpec:
-    return ModulatorSpec(
+def _stage_operators(
+    env: SampledEnvelope, code: SpreadingCode, fbg: FbgSpec, transition_time: float
+) -> tuple[np.ndarray, Grating]:
+    spec = ModulatorSpec(
         code=code,
         bin_duration=env.grid.bin_duration,
         transition_time=transition_time,
     )
+    return modulation_waveform(spec, env.grid), Grating.on_grid(env.grid, fbg, real=False)
 
 
 def mux_new_path(
@@ -214,8 +271,8 @@ def mux_new_path(
     spread by the user's modulator on the way out. The transmitted part of
     the packet spectrum leaves through the grating and is discarded as loss.
     """
-    spread = _modulator(env, code, transition_time)
-    return modulate(fbg_reflect(env, fbg), spread)
+    wave, grating = _stage_operators(env, code, fbg, transition_time)
+    return SampledEnvelope(env.grid, insert(env.samples, wave, grating))
 
 
 def mux_old_path(
@@ -231,8 +288,9 @@ def mux_old_path(
     back up the input fibre and is lost), and a second modulator restores
     the original spreading.
     """
-    mod = _modulator(env, code, transition_time)
-    return modulate(fbg_transmit(modulate(env, mod), fbg), mod)
+    wave, grating = _stage_operators(env, code, fbg, transition_time)
+    spectrum = despread(env.samples, wave, grating)
+    return SampledEnvelope(env.grid, through_branch(spectrum, wave, grating))
 
 
 def demux_drop_path(
@@ -242,8 +300,9 @@ def demux_drop_path(
     transition_time: float = 0.0,
 ) -> SampledEnvelope:
     """Drop stage towards the local receiver: despread, keep the reflection."""
-    mod = _modulator(env, code, transition_time)
-    return fbg_reflect(modulate(env, mod), fbg)
+    wave, grating = _stage_operators(env, code, fbg, transition_time)
+    spectrum = despread(env.samples, wave, grating)
+    return SampledEnvelope(env.grid, drop_branch(spectrum, grating))
 
 
 def demux_through_path(

@@ -1,12 +1,13 @@
 """Release gate: exact invariants, code properties, published-table
-reproduction, word traces, bound trend and determinism.
+reproduction, golden means, word traces, bound trend and determinism.
 
 The statistical sections run the full reproduction presets (seed 12345,
 50/32/64 trials) and compare each cell against the reference value with
 the agreed tolerance: |mean - target| <= max(rel * target, abs_floor)
-plus two standard errors. Expect several minutes of runtime; the
-crosstalk grid dominates. Set SPREADMUX_FULL=1 to add the n=14 crosstalk
-column (roughly an extra hour).
+plus two standard errors; the golden means pin the same cells far more
+tightly, from the same module-scoped reports. Expect several minutes of
+runtime; the crosstalk grid dominates. Set SPREADMUX_FULL=1 to add the
+n=14 crosstalk column.
 """
 
 import math
@@ -66,6 +67,52 @@ REFERENCE_INFIDELITY = {(10, 5): 1.079e-3, (10, 20): 2.34e-3, (10, 50): 5.62e-3}
 TABLE_REL, TABLE_ABS = 0.25, 0.05
 INFIDELITY_REL = 0.50
 PAIRWISE_REL = 0.10
+
+# Full-precision seed-12345 means of the three reproduction presets,
+# recorded with the complex-FFT walk that the real-arithmetic walk
+# replaced. Rounding moves them by about 1e-14 relative; any change to
+# the modelled physics moves them far beyond GOLDEN_REL. The acceptance
+# band above is much looser and cannot tell those apart for small cells.
+GOLDEN_REL = 1e-9
+GOLDEN_LOSS = {
+    (8, 5): 0.28119161305857215,
+    (8, 20): 0.716289067898792,
+    (8, 50): 0.9722709686263253,
+    (10, 5): 0.11342577615955747,
+    (10, 20): 0.30398070595184024,
+    (10, 50): 0.5739863404329727,
+    (12, 5): 0.06134122344156774,
+    (12, 20): 0.12481487490228975,
+    (12, 50): 0.22819390819340002,
+    (14, 5): 0.039518989771910935,
+    (14, 20): 0.055548738071115246,
+    (14, 50): 0.07937055259680531,
+}
+GOLDEN_CROSSTALK = {
+    (8, 5): 0.06335590396184508,
+    (8, 20): 0.21006700561042435,
+    (8, 50): 0.37050957431322173,
+    (10, 5): 0.015320280007399108,
+    (10, 20): 0.06660682381054504,
+    (10, 50): 0.1416031867228174,
+    (12, 5): 0.004793854114393812,
+    (12, 20): 0.021175424049874016,
+    (12, 50): 0.04182054169957846,
+}
+GOLDEN_INFIDELITY = {
+    (10, 5, "zero"): 0.0012546363222659639,
+    (10, 5, "one"): 0.0012546363195729618,
+    (10, 5, "plus"): 0.0012561414137678244,
+    (10, 5, "minus"): 0.0012531303195574203,
+    (10, 20, "zero"): 0.0020351934908960454,
+    (10, 20, "one"): 0.002035193470173422,
+    (10, 20, "plus"): 0.002040396070498697,
+    (10, 20, "minus"): 0.0020299791045204074,
+    (10, 50, "zero"): 0.005026162859183638,
+    (10, 50, "one"): 0.00502616285988651,
+    (10, 50, "plus"): 0.005042035634251785,
+    (10, 50, "minus"): 0.005010181210948693,
+}
 
 
 def assert_within(mean, stderr, target, rel, abs_floor=0.0):
@@ -282,6 +329,26 @@ class TestInfidelityReproduction:
             for u in (5, 20, 50)
         ]
         assert strictly_increasing(means)
+
+
+class TestGoldenMeans:
+    """Every seed-12345 cell pinned to GOLDEN_REL, from the module reports."""
+
+    def test_loss_cells(self, loss_report):
+        for (n, users), mean in GOLDEN_LOSS.items():
+            assert loss_report.cell(n, users).mean == pytest.approx(mean, rel=GOLDEN_REL)
+
+    def test_crosstalk_cells(self, crosstalk_report):
+        for (n, users), mean in GOLDEN_CROSSTALK.items():
+            assert crosstalk_report.cell(n, users).mean == pytest.approx(
+                mean, rel=GOLDEN_REL
+            )
+
+    def test_infidelity_cells(self, infidelity_report):
+        for (n, users, label), mean in GOLDEN_INFIDELITY.items():
+            assert infidelity_report.cell(n, users, label).mean == pytest.approx(
+                mean, rel=GOLDEN_REL
+            )
 
 
 def bin_extremes(result):

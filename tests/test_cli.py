@@ -99,6 +99,12 @@ class TestValidateCommand:
         lines = out.splitlines()
         assert lines == [f"ok n={n} length={2**n - 1}" for n in range(2, 7)]
 
+    def test_register_count_without_taps_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, ["validate", "--max-registers", "17"])
+        assert code == 2
+        assert out == ""  # rejected before any family is validated
+        assert "spreadmux: error: config:" in err and "17" in err
+
 
 class TestSimulateCommand:
     def test_csv_report(self, capsys):
@@ -130,6 +136,23 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "error" in err
+
+    def test_register_count_without_taps_rejected_before_any_cell(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["simulate", "--kind", "loss", "--n-registers", "8,17"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "built-in taps" in err
+
+    def test_more_users_than_codes_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--kind", "fidelity", "--n-registers", "3", "--users", "10"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "at most 6 users" in err
 
     def test_invalid_scenario_is_config_error(self, capsys):
         code, _, err = run_cli(
@@ -229,6 +252,14 @@ class TestTracesCommand:
         assert len(words) == 2
         data = [ln for ln in lines if ln[0].isdigit()]
         assert len(data) == 2 * 3  # users x bits
+
+    def test_several_grid_entries_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["traces", "--n-registers", "6,8", "--users", "3,4"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "spreadmux: error: config:" in err
 
     def test_density_file(self, capsys, tmp_path):
         density = tmp_path / "density.csv"

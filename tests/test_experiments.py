@@ -46,6 +46,23 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="non-empty"):
             ScenarioConfig(kind="loss", n_registers=())
 
+    @pytest.mark.parametrize("field", ["n_registers", "users"])
+    def test_trace_takes_one_grid_entry(self, field):
+        grid = {"n_registers": (6,), "users": (3,)}
+        grid[field] += (4,) if field == "users" else (8,)
+        with pytest.raises(ValueError, match="one register count"):
+            ScenarioConfig(kind="trace", **grid)
+
+    @pytest.mark.parametrize("n", [1, 17])
+    def test_register_count_needs_built_in_taps(self, n):
+        with pytest.raises(ValueError, match="built-in taps"):
+            ScenarioConfig(kind="loss", n_registers=(8, n))
+
+    def test_users_must_fit_shortest_code_family(self):
+        ScenarioConfig(kind="fidelity", n_registers=(3, 8), users=(6,))
+        with pytest.raises(ValueError, match="at most 6 users"):
+            ScenarioConfig(kind="fidelity", n_registers=(3, 8), users=(2, 7))
+
     @pytest.mark.parametrize(
         "field,value",
         [

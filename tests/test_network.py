@@ -1,4 +1,4 @@
-"""Chain construction, validation and per-pair photon propagation."""
+"""Chain construction, validation, photon walks and receiver densities."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,22 @@ from spreadmux.network import (
     propagate_all,
     propagate_envelope,
     propagate_photon,
+    receiver_densities,
     receiver_density,
 )
-from spreadmux.optics import FbgSpec
-from spreadmux.signal import PacketSpec, gaussian_packet, norm_sq
+from spreadmux.optics import (
+    FbgSpec,
+    demux_drop_path,
+    demux_through_path,
+    mux_new_path,
+    mux_old_path,
+)
+from spreadmux.signal import (
+    PacketSpec,
+    TimeGrid,
+    gaussian_packet,
+    norm_sq,
+)
 
 # closed-form matched-link delivery, see test_optics for the derivation
 SINGLE_USER_DELIVERED = 0.962626135683
@@ -63,6 +75,12 @@ class TestNetworkPlan:
             NetworkPlan.fifo(grid31, fbg, code5, 0)
         with pytest.raises(ValueError, match="at most"):
             NetworkPlan.fifo(grid31, fbg, code5, 31)
+
+    def test_from_orders_rejects_more_users_than_codes(self, grid31, fbg, code5):
+        users = list(range(1, 32))
+        NetworkPlan.from_orders(grid31, fbg, code5, users[:-1], users[:-1])
+        with pytest.raises(ValueError, match="at most 30 users"):
+            NetworkPlan.from_orders(grid31, fbg, code5, users, users[::-1])
 
     def test_from_orders_custom_drop_order(self, grid31, fbg, code5):
         plan = NetworkPlan.from_orders(grid31, fbg, code5, [1, 2, 3], [2, 1, 3])
@@ -229,3 +247,115 @@ class TestPropagateAllAndDensity:
         tr = propagate_photon(UserChannel(1, plan3.codes[1], (1,)), 1, plan3)
         with pytest.raises(NotImplementedError):
             receiver_density([tr], coherent=True)
+
+
+def composed_walk(env, source_id, receiver_id, plan):
+    """The chain spelled out stage by stage with the public per-stage
+    functions, which always work on complex amplitudes and full FFTs."""
+    tau, fbg = plan.transition_time, plan.fbg
+    inserted = False
+    for stage in plan.stages:
+        code = plan.codes[stage.user_id]
+        if not inserted:
+            if stage == Stage("drop", receiver_id):
+                return np.zeros(plan.grid.n_samples, dtype=np.complex128)
+            if stage == Stage("add", source_id):
+                env = mux_new_path(env, code, fbg, tau)
+                inserted = True
+            continue
+        if stage.kind == "add":
+            env = mux_old_path(env, code, fbg, tau)
+        elif stage.user_id == receiver_id:
+            return demux_drop_path(env, code, fbg, tau).samples
+        else:
+            env = demux_through_path(env, code, fbg, tau)
+    raise AssertionError("receiver never reached")
+
+
+def assert_walk_matches_composition(env, plan):
+    for source in plan.codes:
+        for receiver in plan.receivers:
+            walked = propagate_envelope(env, source, receiver, plan).samples
+            expected = composed_walk(env, source, receiver, plan)
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(walked - expected)) <= 1e-12 * peak, (source, receiver)
+
+
+def interleaved_plan(grid, fbg, code, transition_time=0.0):
+    # the drop order differs from the add order, and user 4 adds after
+    # receiver 2 has dropped, so some pairs deliver nothing
+    codes = {uid: shift_code(code, uid) for uid in (1, 2, 3, 4)}
+    stages = (
+        Stage("add", 1), Stage("add", 2), Stage("add", 3), Stage("drop", 2),
+        Stage("add", 4), Stage("drop", 3), Stage("drop", 1), Stage("drop", 4),
+    )
+    return NetworkPlan(grid, fbg, codes, stages, transition_time)
+
+
+class TestWalkAgainstStageComposition:
+    @pytest.mark.parametrize(
+        "samples_per_chip, n_bins", [(4, 2), (3, 1)], ids=["even", "odd_length"]
+    )
+    def test_real_operator(self, fbg, code5, samples_per_chip, n_bins):
+        grid = TimeGrid(1.0, 31, samples_per_chip, n_bins)
+        assert grid.n_samples % 2 == (1 if samples_per_chip == 3 else 0)
+        plan = interleaved_plan(grid, fbg, code5)
+        assert plan.operators.real
+        env = gaussian_packet(grid, PacketSpec(bin_index=n_bins - 1))
+        assert_walk_matches_composition(env, plan)
+
+    @pytest.mark.parametrize(
+        "transition_time, fbg_spec",
+        [(0.3 / 31, FbgSpec(8.0)), (0.0, FbgSpec(8.0, center_offset=2.0))],
+        ids=["finite_transition", "off_centre_grating"],
+    )
+    def test_complex_operator(self, grid31_2bins, code5, transition_time, fbg_spec):
+        plan = interleaved_plan(grid31_2bins, fbg_spec, code5, transition_time)
+        assert not plan.operators.real
+        env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0, global_phase=0.4))
+        assert_walk_matches_composition(env, plan)
+
+    def test_complex_input_through_real_operator(self, grid31_2bins, fbg, code5):
+        # two packets with different phases: no global phase makes this real
+        env = gaussian_packet(grid31_2bins, PacketSpec(0, global_phase=0.3)) + (
+            gaussian_packet(grid31_2bins, PacketSpec(1, global_phase=2.1))
+        )
+        assert np.any(env.samples.imag) and np.any(env.samples.real)
+        plan = interleaved_plan(grid31_2bins, fbg, code5)
+        assert plan.operators.real
+        assert_walk_matches_composition(env, plan)
+
+    def test_receiver_densities_match_per_pair_walks(self, grid31_2bins, fbg, code5):
+        plan = interleaved_plan(grid31_2bins, fbg, code5)
+        channels = [
+            UserChannel(1, plan.codes[1], (1, 1), global_phase=0.5),
+            UserChannel(2, plan.codes[2], (0, 0)),
+            UserChannel(3, plan.codes[3], (0, 1), global_phase=4.0),
+            UserChannel(4, plan.codes[4], (1, 0)),
+        ]
+        densities = receiver_densities(channels, plan)
+        assert set(densities) == set(plan.receivers)
+        for receiver in plan.receivers:
+            expected = receiver_density(
+                [propagate_photon(ch, receiver, plan) for ch in channels]
+            )
+            peak = np.max(expected)
+            assert np.max(np.abs(densities[receiver] - expected)) <= 1e-12 * peak
+
+    def test_run_trace_matches_per_pair_walks(self):
+        from spreadmux.experiments import DEFAULT_SIGMA_FILT, run_trace, trace_config
+
+        result = run_trace(trace_config(n_registers=(5,), users=(3,), bits_per_user=4))
+        plan = NetworkPlan.fifo(
+            result.grid, FbgSpec(DEFAULT_SIGMA_FILT), msequence_code(LfsrSpec(5)), 3
+        )
+        for receiver in plan.receivers:
+            expected = receiver_density(
+                [
+                    propagate_photon(UserChannel(u, plan.codes[u], result.bits[u]),
+                                     receiver, plan)
+                    for u in result.users
+                ]
+            )
+            peak = np.max(expected)
+            assert np.max(np.abs(result.densities[receiver] - expected)) <= 1e-12 * peak

@@ -276,19 +276,3 @@ class TestStagePaths:
         separate = mux_new_path(a, code5, fbg) + mux_new_path(b, code5, fbg)
         np.testing.assert_allclose(combined.samples, separate.samples, atol=1e-12)
 
-
-class TestWaveformCache:
-    def test_repeated_modulation_reuses_waveform(self, grid31, code5):
-        from spreadmux.optics import _cached_waveform
-
-        spec = ModulatorSpec(code5, 1.0)
-        first = _cached_waveform(spec, grid31)
-        second = _cached_waveform(ModulatorSpec(code5, 1.0), grid31)
-        assert first is second
-
-    def test_cache_distinguishes_conventions(self, grid31, code5):
-        from spreadmux.optics import _cached_waveform
-
-        plain = _cached_waveform(ModulatorSpec(code5, 1.0), grid31)
-        rotated = _cached_waveform(ModulatorSpec(code5, 1.0, half_pi=True), grid31)
-        assert plain is not rotated
