@@ -3,147 +3,27 @@
 Each user imprints a shifted copy of one maximal-length sequence onto the
 phase of its photons; a chain of identical gratings on a shared fibre then
 adds and drops the users by spreading and despreading in place.
+
+The package re-exports the public names (``__all__``) of each of its
+modules; the command line front end lives in ``spreadmux.cli``.
 """
 
 __version__ = "0.1.0"
 
-from .codes import (
-    LfsrSpec,
-    SpreadingCode,
-    code_inner,
-    lfsr_sequence,
-    msequence_code,
-    shift_code,
-)
-from .experiments import (
-    DEFAULT_SIGMA_FILT,
-    MetricsReport,
-    ReportCell,
-    ScenarioConfig,
-    TraceResult,
-    crosstalk_config,
-    fidelity_config,
-    loss_config,
-    run_crosstalk,
-    run_experiment,
-    run_fidelity,
-    run_loss,
-    run_trace,
-    trace_config,
-)
-from .metrics import (
-    COW_LABELS,
-    CowState,
-    cow_state,
-    cow_states,
-    crosstalk_probability,
-    fidelity,
-    ideal_loss_bound,
-    loss_probability,
-    per_bin_detection,
-)
-from .network import (
-    NetworkPlan,
-    PhotonTrace,
-    Stage,
-    UserChannel,
-    channel_envelope,
-    propagate_all,
-    propagate_envelope,
-    propagate_photon,
-    receiver_densities,
-    receiver_density,
-)
-from .optics import (
-    FbgSpec,
-    ModulatorSpec,
-    demux_drop_path,
-    demux_through_path,
-    fbg_reflect,
-    fbg_transmit,
-    filter_response,
-    modulate,
-    modulation_waveform,
-    mux_new_path,
-    mux_old_path,
-)
-from .signal import (
-    DEFAULT_SIGMA_FACTOR,
-    PacketSpec,
-    SampledEnvelope,
-    TimeGrid,
-    gaussian_packet,
-    inner_product,
-    integrate_window,
-    norm_sq,
-    spectral_norm_sq,
-    to_frequency,
-    to_time,
-    zero_envelope,
-)
+from . import codes, experiments, metrics, network, optics, signal
+from .codes import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .network import *  # noqa: F401,F403
+from .optics import *  # noqa: F401,F403
+from .signal import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "LfsrSpec",
-    "SpreadingCode",
-    "code_inner",
-    "lfsr_sequence",
-    "msequence_code",
-    "shift_code",
-    "DEFAULT_SIGMA_FILT",
-    "MetricsReport",
-    "ReportCell",
-    "ScenarioConfig",
-    "TraceResult",
-    "crosstalk_config",
-    "fidelity_config",
-    "loss_config",
-    "run_crosstalk",
-    "run_experiment",
-    "run_fidelity",
-    "run_loss",
-    "run_trace",
-    "trace_config",
-    "COW_LABELS",
-    "CowState",
-    "cow_state",
-    "cow_states",
-    "crosstalk_probability",
-    "fidelity",
-    "ideal_loss_bound",
-    "loss_probability",
-    "per_bin_detection",
-    "NetworkPlan",
-    "PhotonTrace",
-    "Stage",
-    "UserChannel",
-    "channel_envelope",
-    "propagate_all",
-    "propagate_envelope",
-    "propagate_photon",
-    "receiver_densities",
-    "receiver_density",
-    "FbgSpec",
-    "ModulatorSpec",
-    "demux_drop_path",
-    "demux_through_path",
-    "fbg_reflect",
-    "fbg_transmit",
-    "filter_response",
-    "modulate",
-    "modulation_waveform",
-    "mux_new_path",
-    "mux_old_path",
-    "DEFAULT_SIGMA_FACTOR",
-    "PacketSpec",
-    "SampledEnvelope",
-    "TimeGrid",
-    "gaussian_packet",
-    "inner_product",
-    "integrate_window",
-    "norm_sq",
-    "spectral_norm_sq",
-    "to_frequency",
-    "to_time",
-    "zero_envelope",
+    *codes.__all__,
+    *experiments.__all__,
+    *metrics.__all__,
+    *network.__all__,
+    *optics.__all__,
+    *signal.__all__,
 ]

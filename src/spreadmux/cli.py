@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -296,14 +297,16 @@ def _density_csv(result: TraceResult) -> str:
         "# kind: trace_density",
         f"# seed: {cfg.rng_seed}",
         f"# config_hash: {cfg.config_hash()}",
+        ",".join(["time"] + [f"receiver_{uid}" for uid in result.users]),
     ]
-    cols = ["time"] + [f"receiver_{uid}" for uid in result.users]
-    rows = [",".join(cols)]
-    times = result.grid.times
-    stacked = np.column_stack([result.densities[uid] for uid in result.users])
-    for t, row in zip(times, stacked):
-        rows.append(",".join([f"{t:.10g}"] + [f"{v:.10g}" for v in row]))
-    return "\n".join(header + rows) + "\n"
+    table = np.column_stack(
+        [result.grid.times] + [result.densities[uid] for uid in result.users]
+    )
+    buf = io.StringIO()
+    np.savetxt(
+        buf, table, fmt="%.10g", delimiter=",", header="\n".join(header), comments=""
+    )
+    return buf.getvalue()
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:

@@ -12,12 +12,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .codes import DEFAULT_TAPS, LfsrSpec, msequence_code
+from .codes import DEFAULT_TAPS, LfsrSpec, SpreadingCode, msequence_code
 from .metrics import (
-    COW_LABELS,
     cow_states,
     crosstalk_probability,
     fidelity,
@@ -128,8 +128,20 @@ class ScenarioConfig:
             raise ValueError(f"bits_per_user must be >= 1, got {self.bits_per_user}")
         if self.sigma_filt is not None and not self.sigma_filt > 0:
             raise ValueError(f"sigma_filt must be positive, got {self.sigma_filt}")
+        if self.samples_per_chip < 2:
+            raise ValueError(
+                f"samples_per_chip must be >= 2, got {self.samples_per_chip}"
+            )
         if self.transition_time < 0:
             raise ValueError("transition_time must be non-negative")
+        # one chip of the longest code, at bin_duration = 1
+        chip = 1 / (2 ** max(self.n_registers) - 1)
+        if self.transition_time >= chip:
+            raise ValueError(
+                f"transition_time must be shorter than one chip of "
+                f"n_registers={max(self.n_registers)} ({chip:.3e}), got "
+                f"{self.transition_time}"
+            )
 
     @property
     def resolved_trials(self) -> int:
@@ -284,73 +296,121 @@ def _grating(config: ScenarioConfig) -> FbgSpec:
     return FbgSpec(sigma_filt=sigma)
 
 
-def run_loss(config: ScenarioConfig) -> MetricsReport:
-    """Mean loss at the matched receiver, one occupied channel per trial."""
+def _sweep(
+    config: ScenarioConfig,
+    metric: str,
+    n_bins: int,
+    cell: Callable[..., Callable[[np.random.Generator], dict[str, float]]],
+) -> MetricsReport:
+    """Mean and standard error of every (n_registers, users) cell.
+
+    ``cell(config, grid, base_code, n_users)`` sets one cell up and returns
+    its trial body, which maps the trial's generator to the trial's values
+    by label; each label gets its own report cell.
+    """
     trials = config.resolved_trials
-    fbg = _grating(config)
     cells = []
     for n in config.n_registers:
         spreading = 2**n - 1
         base = msequence_code(LfsrSpec(n))
-        grid = TimeGrid(1.0, spreading, config.samples_per_chip, n_bins=1)
+        grid = TimeGrid(1.0, spreading, config.samples_per_chip, n_bins=n_bins)
         for n_users in config.users:
-            plan = NetworkPlan.fifo(
-                grid, fbg, base, n_users, config.transition_time
-            )
-            values = []
-            for trial in range(trials):
-                rng = _trial_rng(config, n, n_users, trial)
-                sender = int(rng.integers(1, n_users + 1))
-                channel = UserChannel(sender, plan.codes[sender], (1,))
-                trace = propagate_photon(channel, sender, plan)
-                values.append(loss_probability(trace))
-            mean, stderr = _mean_stderr(values)
-            cells.append(ReportCell(n, spreading, n_users, mean, stderr, trials))
-    return MetricsReport("loss", _METRIC_NAMES["loss"], tuple(cells), config)
+            trial = cell(config, grid, base, n_users)
+            per_label: dict[str, list[float]] = {}
+            for t in range(trials):
+                for label, value in trial(_trial_rng(config, n, n_users, t)).items():
+                    per_label.setdefault(label, []).append(value)
+            for label, values in per_label.items():
+                mean, stderr = _mean_stderr(values)
+                cells.append(
+                    ReportCell(n, spreading, n_users, mean, stderr, trials, label)
+                )
+    return MetricsReport(config.kind, metric, tuple(cells), config)
+
+
+def _loss_cell(
+    config: ScenarioConfig, grid: TimeGrid, base: SpreadingCode, n_users: int
+) -> Callable[[np.random.Generator], dict[str, float]]:
+    # one plan per cell: every trial walks the same chain
+    plan = NetworkPlan.fifo(
+        grid, _grating(config), base, n_users, config.transition_time
+    )
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        sender = int(rng.integers(1, n_users + 1))
+        channel = UserChannel(sender, plan.codes[sender], (1,))
+        return {"": loss_probability(propagate_photon(channel, sender, plan))}
+
+    return trial
+
+
+def run_loss(config: ScenarioConfig) -> MetricsReport:
+    """Mean loss at the matched receiver, one occupied channel per trial."""
+    return _sweep(config, _METRIC_NAMES["loss"], 1, _loss_cell)
+
+
+def _crosstalk_cell(
+    config: ScenarioConfig, grid: TimeGrid, base: SpreadingCode, n_users: int
+) -> Callable[[np.random.Generator], dict[str, float]]:
+    fbg = _grating(config)
+    bits_per_user = config.bits_per_user
+    add_order = list(range(1, n_users + 1))
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        empty = int(rng.integers(1, n_users + 1))
+        if config.empty_drop_first:
+            drop_order = [empty] + [u for u in add_order if u != empty]
+        else:
+            drop_order = add_order
+        plan = NetworkPlan.from_orders(
+            grid, fbg, base, add_order, drop_order, config.transition_time
+        )
+        collected = []
+        for uid in add_order:
+            if uid == empty:
+                continue
+            bits = tuple(int(b) for b in rng.integers(0, 2, bits_per_user))
+            phase = float(rng.uniform(0.0, 2.0 * np.pi))
+            if not any(bits):
+                continue  # nothing launched, nothing delivered
+            channel = UserChannel(uid, plan.codes[uid], bits, phase)
+            collected.append(propagate_photon(channel, empty, plan))
+        value = crosstalk_probability(collected)
+        if config.crosstalk_per_bin:
+            value /= bits_per_user
+        return {"": value}
+
+    return trial
 
 
 def run_crosstalk(config: ScenarioConfig) -> MetricsReport:
     """Foreign probability collected by one silent receiver per run."""
-    trials = config.resolved_trials
-    fbg = _grating(config)
-    bits_per_user = config.bits_per_user
     metric = _METRIC_NAMES["crosstalk"]
     metric += "_per_bin" if config.crosstalk_per_bin else "_word"
-    cells = []
-    for n in config.n_registers:
-        spreading = 2**n - 1
-        base = msequence_code(LfsrSpec(n))
-        grid = TimeGrid(1.0, spreading, config.samples_per_chip, n_bins=bits_per_user)
-        for n_users in config.users:
-            add_order = list(range(1, n_users + 1))
-            values = []
-            for trial in range(trials):
-                rng = _trial_rng(config, n, n_users, trial)
-                empty = int(rng.integers(1, n_users + 1))
-                if config.empty_drop_first:
-                    drop_order = [empty] + [u for u in add_order if u != empty]
-                else:
-                    drop_order = add_order
-                plan = NetworkPlan.from_orders(
-                    grid, fbg, base, add_order, drop_order, config.transition_time
-                )
-                collected = []
-                for uid in add_order:
-                    if uid == empty:
-                        continue
-                    bits = tuple(int(b) for b in rng.integers(0, 2, bits_per_user))
-                    phase = float(rng.uniform(0.0, 2.0 * np.pi))
-                    if not any(bits):
-                        continue  # nothing launched, nothing delivered
-                    channel = UserChannel(uid, plan.codes[uid], bits, phase)
-                    collected.append(propagate_photon(channel, empty, plan))
-                value = crosstalk_probability(collected)
-                if config.crosstalk_per_bin:
-                    value /= bits_per_user
-                values.append(value)
-            mean, stderr = _mean_stderr(values)
-            cells.append(ReportCell(n, spreading, n_users, mean, stderr, trials))
-    return MetricsReport("crosstalk", metric, tuple(cells), config)
+    return _sweep(config, metric, config.bits_per_user, _crosstalk_cell)
+
+
+def _fidelity_cell(
+    config: ScenarioConfig, grid: TimeGrid, base: SpreadingCode, n_users: int
+) -> Callable[[np.random.Generator], dict[str, float]]:
+    fbg = _grating(config)
+    states = cow_states(grid)
+
+    def trial(rng: np.random.Generator) -> dict[str, float]:
+        add_order = [int(u) for u in rng.permutation(n_users) + 1]
+        drop_order = [int(u) for u in rng.permutation(n_users) + 1]
+        sender = int(rng.integers(1, n_users + 1))
+        plan = NetworkPlan.from_orders(
+            grid, fbg, base, add_order, drop_order, config.transition_time
+        )
+        values = {}
+        for state in states:
+            delivered = propagate_envelope(state.envelope, sender, sender, plan)
+            value = 1.0 - fidelity(state.envelope, delivered, normalize=True)
+            values[state.label] = value
+        return values
+
+    return trial
 
 
 def run_fidelity(config: ScenarioConfig) -> MetricsReport:
@@ -360,36 +420,7 @@ def run_fidelity(config: ScenarioConfig) -> MetricsReport:
     all four states through the same arrangement, which keeps the per-state
     means directly comparable.
     """
-    trials = config.resolved_trials
-    fbg = _grating(config)
-    cells = []
-    for n in config.n_registers:
-        spreading = 2**n - 1
-        base = msequence_code(LfsrSpec(n))
-        grid = TimeGrid(1.0, spreading, config.samples_per_chip, n_bins=2)
-        states = cow_states(grid)
-        for n_users in config.users:
-            per_label: dict[str, list[float]] = {label: [] for label in COW_LABELS}
-            for trial in range(trials):
-                rng = _trial_rng(config, n, n_users, trial)
-                add_order = [int(u) for u in rng.permutation(n_users) + 1]
-                drop_order = [int(u) for u in rng.permutation(n_users) + 1]
-                sender = int(rng.integers(1, n_users + 1))
-                plan = NetworkPlan.from_orders(
-                    grid, fbg, base, add_order, drop_order, config.transition_time
-                )
-                for state in states:
-                    delivered = propagate_envelope(
-                        state.envelope, sender, sender, plan
-                    )
-                    value = 1.0 - fidelity(state.envelope, delivered, normalize=True)
-                    per_label[state.label].append(value)
-            for label in COW_LABELS:
-                mean, stderr = _mean_stderr(per_label[label])
-                cells.append(
-                    ReportCell(n, spreading, n_users, mean, stderr, trials, label)
-                )
-    return MetricsReport("fidelity", _METRIC_NAMES["fidelity"], tuple(cells), config)
+    return _sweep(config, _METRIC_NAMES["fidelity"], 2, _fidelity_cell)
 
 
 def run_trace(config: ScenarioConfig) -> TraceResult:

@@ -21,6 +21,7 @@ __all__ = [
     "COW_LABELS",
     "CowState",
     "cow_state",
+    "cow_states",
     "loss_probability",
     "crosstalk_probability",
     "fidelity",

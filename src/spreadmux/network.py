@@ -7,11 +7,13 @@ part that receiver collects and the part that passes on. One walk per sender
 therefore serves every receiver; a single (source, receiver) delivery stops
 the walk at that receiver's Drop.
 
-Each plan builds an operator table on first use: every staged user's
-modulator waveform and the grating's responses. With ideal chip switching
-and a centred grating every operator of the chain is real, and the table
-walks photons in real arithmetic (real FFTs); otherwise it walks them as
-complex amplitudes.
+A stage applies one operator again and again: despread with the local code,
+let the grating take its narrowband bite, spread again. Each plan therefore
+builds, on first use, the grating's responses on its grid and every staged
+user's modulator waveform, and every walk through the plan reuses them. With
+ideal chip switching and a centred grating every operator of the chain is
+real, and photons walk in real arithmetic (real FFTs); otherwise they walk
+as complex amplitudes.
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ __all__ = [
     "Stage",
     "UserChannel",
     "NetworkPlan",
-    "OperatorTable",
     "PhotonTrace",
     "channel_envelope",
     "propagate_envelope",
     "propagate_photon",
-    "propagate_all",
     "receiver_density",
     "receiver_densities",
 ]
@@ -179,9 +179,19 @@ class NetworkPlan:
         return tuple(s.user_id for s in self.stages if s.kind == "drop")
 
     @functools.cached_property
-    def operators(self) -> "OperatorTable":
-        """The plan's operator table, built on first use."""
+    def grating(self) -> Grating:
+        """The grating on this plan's grid, built on first use.
+
+        It is real when every waveform is a real +-1 train (ideal chip
+        switching) and the grating is centred; photons then walk in real
+        arithmetic.
+        """
         real = self.transition_time == 0.0 and self.fbg.center_offset == 0.0
+        return Grating.on_grid(self.grid, self.fbg, real)
+
+    @functools.cached_property
+    def waveforms(self) -> dict[int, np.ndarray]:
+        """Every staged user's modulator waveform, built on first use."""
         waveforms = {}
         for stage in self.stages:
             if stage.kind == "add":
@@ -189,23 +199,7 @@ class NetworkPlan:
                     self.codes[stage.user_id], self.grid.bin_duration, self.transition_time
                 )
                 waveforms[stage.user_id] = modulation_waveform(spec, self.grid)
-        return OperatorTable(Grating.on_grid(self.grid, self.fbg, real), waveforms)
-
-
-@dataclass(frozen=True, eq=False)
-class OperatorTable:
-    """Every staged user's modulator waveform, and the grating.
-
-    The operator is real when every waveform is a real +-1 train and the
-    grating is centred; photons then walk in real arithmetic.
-    """
-
-    grating: Grating
-    waveforms: Mapping[int, np.ndarray]
-
-    @property
-    def real(self) -> bool:
-        return self.grating.real
+        return waveforms
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,19 +239,19 @@ def _walk(
     Drop both output ports branch off one forward transform, and the through
     port is computed only when the walk is resumed and a later Drop remains.
     ``samples`` must suit the operator: real (any leading axes) for a real
-    table, real or complex for a complex one.
+    grating, real or complex for a complex one.
     """
-    table = plan.operators
-    grating = table.grating
+    grating = plan.grating
+    waveforms = plan.waveforms
     stages = plan.stages
     start = stages.index(Stage("add", source_id))
     last_drop = max((i for i, s in enumerate(stages) if s.kind == "drop"), default=-1)
     if last_drop < start:
         return
-    samples = insert(samples, table.waveforms[source_id], grating)
+    samples = insert(samples, waveforms[source_id], grating)
     for pos in range(start + 1, last_drop + 1):
         stage = stages[pos]
-        wave = table.waveforms[stage.user_id]
+        wave = waveforms[stage.user_id]
         spectrum = despread(samples, wave, grating)
         if stage.kind == "drop":
             yield stage.user_id, drop_branch(spectrum, grating)
@@ -294,7 +288,7 @@ def propagate_envelope(
         return zero_envelope(plan.grid)  # dropped before insertion
     samples = env.samples
     stacked = False
-    if plan.operators.real:
+    if plan.grating.real:
         stacked = bool(np.any(samples.imag))
         samples = np.stack([samples.real, samples.imag]) if stacked else samples.real
     delivered = next(d for r, d in _walk(samples, source_id, plan) if r == receiver_id)
@@ -335,31 +329,13 @@ def propagate_photon(
     return PhotonTrace(channel.user_id, receiver_id, delivered * phase)
 
 
-def propagate_all(
-    channels: Sequence[UserChannel],
-    plan: NetworkPlan,
-) -> list[PhotonTrace]:
-    """Every sender to every receiver, in deterministic order."""
-    traces = []
-    for receiver in plan.receivers:
-        for channel in channels:
-            traces.append(propagate_photon(channel, receiver, plan))
-    return traces
-
-
-def receiver_density(
-    traces: Iterable[PhotonTrace],
-    coherent: bool = False,
-) -> np.ndarray:
+def receiver_density(traces: Iterable[PhotonTrace]) -> np.ndarray:
     """Photon-number density at one receiver.
 
     Independent single photons add at the density level, so the result is
     sum_p |psi_p(t)|^2 over the given traces. Amplitudes belonging to the
-    same source already interfere inside each trace envelope. The coherent
-    flag is reserved; only the additive mode exists.
+    same source already interfere inside each trace envelope.
     """
-    if coherent:
-        raise NotImplementedError("coherent summation is reserved, use coherent=False")
     traces = list(traces)
     if not traces:
         raise ValueError("receiver_density needs at least one trace")
@@ -393,7 +369,7 @@ def receiver_densities(
         samples = _word_envelope(channel.bits, plan.grid).samples
         if not any(channel.bits):
             continue
-        if plan.operators.real:
+        if plan.grating.real:
             samples = samples.real
         for receiver, delivered in _walk(samples, channel.user_id, plan):
             densities[receiver] += np.abs(delivered) ** 2

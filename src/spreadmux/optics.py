@@ -2,7 +2,9 @@
 
 The modulator multiplies the envelope by a unimodular code waveform m(t), one
 chip per interval bin_duration / S, with the code restarting at every bin
-boundary. The grating is modelled as a zero-phase spectral splitter with a
+boundary. It drives the phases (0, pi), so with ideal switching m(t) is a
+real +-1 train; a finite transition time ramps the phase and makes it
+complex. The grating is modelled as a zero-phase spectral splitter with a
 Gaussian reflection amplitude; reflection and transmission are energy
 complementary by construction.
 
@@ -11,13 +13,14 @@ per-stage functions below and by the plan walk in ``network``: ``insert``
 (reflect, then spread), ``despread`` (the spectrum of passing light after the
 local modulator) and the two branches a grating splits that spectrum into,
 ``drop_branch`` and ``through_branch``. A :class:`Grating` carries the
-responses and the transform pair they act through: real FFTs when the whole
-operator maps real amplitudes to real amplitudes, complex FFTs otherwise.
+responses on one grid, computed when it is built, and the transform pair
+they act through: real FFTs when the whole operator maps real amplitudes to
+real amplitudes, complex FFTs otherwise. A plan builds its grating once;
+each public per-stage function builds its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +36,6 @@ __all__ = [
     "modulation_waveform",
     "modulate",
     "grating_response",
-    "filter_response",
     "insert",
     "despread",
     "drop_branch",
@@ -53,16 +55,13 @@ class ModulatorSpec:
 
     transition_time is the duration of the raised-cosine phase ramp centred
     on each chip boundary; 0 means ideal instantaneous switching, and the
-    ramp must fit inside a chip (transition_time < bin_duration / S).
-
-    half_pi selects the (+pi/2, -pi/2) drive instead of the default (0, pi);
-    the two differ by a global factor of 1j per pass.
+    ramp must fit inside a chip (transition_time < bin_duration / S). The
+    drive takes the phases (0, pi) for the chips (+1, -1).
     """
 
     code: SpreadingCode
     bin_duration: float
     transition_time: float = 0.0
-    half_pi: bool = False
 
     def __post_init__(self) -> None:
         if not self.bin_duration > 0:
@@ -79,10 +78,9 @@ def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
     """Sampled m(t) for one modulator on one grid.
 
     With transition_time = 0 the waveform takes the chip values exactly, so
-    a same-code double pass is an exact identity: a real (float64) +-1 train
-    for the default (0, pi) drive, +-1j for the half_pi convention. With a
-    finite transition time the phase follows a raised-cosine ramp through
-    each chip boundary and |m| stays 1.
+    a same-code double pass is an exact identity: a real (float64) +-1
+    train. With a finite transition time the phase follows a raised-cosine
+    ramp through each chip boundary and |m| stays 1.
     """
     if len(spec.code) != grid.chips_per_bin:
         raise ValueError(
@@ -97,14 +95,10 @@ def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
     base = np.repeat(chips_full, q)
     tau = spec.transition_time
     if tau == 0.0:
-        return (1j * base) if spec.half_pi else base
+        return base
 
-    wave = (1j * base) if spec.half_pi else base.astype(np.complex128)
-    # chip phases under the active drive convention
-    if spec.half_pi:
-        chip_phase = chips_full * (math.pi / 2.0)
-    else:
-        chip_phase = (1.0 - chips_full) * (math.pi / 2.0)
+    wave = base.astype(np.complex128)
+    chip_phase = (1.0 - chips_full) * (math.pi / 2.0)
 
     dt = grid.dt
     n = grid.n_samples
@@ -165,15 +159,6 @@ def grating_response(
     return r, t
 
 
-@functools.lru_cache(maxsize=64)
-def filter_response(grid: TimeGrid, fbg: FbgSpec) -> tuple[np.ndarray, np.ndarray]:
-    """FFT-ordered (reflect, transmit) amplitude responses, cached read-only."""
-    r, t = grating_response(grid.frequencies, fbg)
-    r.setflags(write=False)
-    t.setflags(write=False)
-    return r, t
-
-
 @dataclass(frozen=True, eq=False)
 class Grating:
     """A grating's (reflect, transmit) responses on one grid's spectrum.
@@ -196,10 +181,10 @@ class Grating:
         if real:
             if fbg.center_offset != 0.0:
                 raise ValueError("an off-centre grating has no real-FFT form")
-            r, t = grating_response(np.fft.rfftfreq(grid.n_samples, d=grid.dt), fbg)
+            frequencies = np.fft.rfftfreq(grid.n_samples, d=grid.dt)
         else:
-            r, t = filter_response(grid, fbg)
-        return cls(grid.n_samples, real, r, t)
+            frequencies = grid.frequencies
+        return cls(grid.n_samples, real, *grating_response(frequencies, fbg))
 
     def spectrum(self, samples: np.ndarray) -> np.ndarray:
         return np.fft.rfft(samples) if self.real else np.fft.fft(samples)

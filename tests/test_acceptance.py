@@ -34,7 +34,7 @@ from spreadmux.experiments import (
 )
 from spreadmux.metrics import COW_LABELS, fidelity, ideal_loss_bound
 from spreadmux.network import NetworkPlan, UserChannel, channel_envelope, propagate_photon
-from spreadmux.optics import FbgSpec, ModulatorSpec, filter_response, modulate, mux_old_path
+from spreadmux.optics import FbgSpec, ModulatorSpec, grating_response, modulate, mux_old_path
 from spreadmux.signal import (
     PacketSpec,
     SampledEnvelope,
@@ -180,7 +180,7 @@ class TestExactInvariants:
             FbgSpec(sigma_filt=3.5, center_offset=2.0, peak_reflectivity=0.6),
             FbgSpec(sigma_filt=math.inf),
         ):
-            r, t = filter_response(grid, fbg)
+            r, t = grating_response(grid.frequencies, fbg)
             assert np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0)) <= 1e-12
 
     def test_fourier_roundtrip_and_parseval(self):
@@ -384,7 +384,7 @@ class TestIdealBoundTrend:
         # reflections); the chain terms sit on top of this
         grid = TimeGrid(1.0, 4095, 4)
         packet = gaussian_packet(grid, PacketSpec(0))
-        r, _ = filter_response(grid, FbgSpec(8.0))
+        r, _ = grating_response(grid.frequencies, FbgSpec(8.0))
         return 1.0 - spectral_norm_sq(grid, to_frequency(packet) * r * r)
 
     def test_loss_decreases_with_spreading(self, bound_report, capsys):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from spreadmux.cli import main
+from spreadmux.experiments import run_experiment, trace_config
 
 TINY_SIM = [
     "simulate", "--kind", "loss",
@@ -145,6 +146,27 @@ class TestSimulateCommand:
         assert out == ""
         assert "built-in taps" in err
 
+    def test_transition_longer_than_a_chip_rejected_before_any_cell(self, capsys):
+        # 0.01 fits a chip of n = 5 (1/31) but not of n = 8 (1/255)
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--kind", "loss", "--n-registers", "5,8", "--users", "2",
+             "--trials", "1", "--transition-time", "0.01"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "spreadmux: error: config: transition_time" in err
+
+    def test_one_sample_per_chip_rejected_before_any_cell(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--kind", "loss", "--n-registers", "5,8", "--users", "2",
+             "--trials", "1", "--samples-per-chip", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "spreadmux: error: config: samples_per_chip" in err
+
     def test_more_users_than_codes_is_config_error(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -265,5 +287,11 @@ class TestTracesCommand:
         density = tmp_path / "density.csv"
         code, _, _ = run_cli(capsys, self.TINY + ["--density", str(density)])
         assert code == 0
-        header = density.read_text().splitlines()
-        assert "time,receiver_1,receiver_2" in header
+        lines = density.read_text().splitlines()
+        assert "time,receiver_1,receiver_2" in lines
+        result = run_experiment(
+            trace_config(n_registers=(5,), users=(2,), bits_per_user=3)
+        )
+        columns = [result.grid.times] + [result.densities[uid] for uid in (1, 2)]
+        expected = [",".join(f"{v:.10g}" for v in row) for row in zip(*columns)]
+        assert lines[lines.index("time,receiver_1,receiver_2") + 1:] == expected

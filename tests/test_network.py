@@ -10,7 +10,6 @@ from spreadmux.network import (
     Stage,
     UserChannel,
     channel_envelope,
-    propagate_all,
     propagate_envelope,
     propagate_photon,
     receiver_densities,
@@ -209,15 +208,6 @@ class TestPropagation:
 
 
 class TestPropagateAllAndDensity:
-    def test_every_pair_present(self, plan3, grid31_2bins, grid31):
-        channels = [
-            UserChannel(uid, plan3.codes[uid], (1,)) for uid in (1, 2, 3)
-        ]
-        traces = propagate_all(channels, plan3)
-        pairs = {(t.source_id, t.receiver_id) for t in traces}
-        assert len(traces) == 9
-        assert pairs == {(s, r) for s in (1, 2, 3) for r in (1, 2, 3)}
-
     def test_density_adds_per_photon(self, plan3, grid31):
         channels = [UserChannel(uid, plan3.codes[uid], (1,)) for uid in (1, 2, 3)]
         traces = [propagate_photon(ch, 2, plan3) for ch in channels]
@@ -242,11 +232,6 @@ class TestPropagateAllAndDensity:
     def test_density_needs_traces(self):
         with pytest.raises(ValueError, match="at least one"):
             receiver_density([])
-
-    def test_coherent_mode_reserved(self, plan3):
-        tr = propagate_photon(UserChannel(1, plan3.codes[1], (1,)), 1, plan3)
-        with pytest.raises(NotImplementedError):
-            receiver_density([tr], coherent=True)
 
 
 def composed_walk(env, source_id, receiver_id, plan):
@@ -300,7 +285,7 @@ class TestWalkAgainstStageComposition:
         grid = TimeGrid(1.0, 31, samples_per_chip, n_bins)
         assert grid.n_samples % 2 == (1 if samples_per_chip == 3 else 0)
         plan = interleaved_plan(grid, fbg, code5)
-        assert plan.operators.real
+        assert plan.grating.real
         env = gaussian_packet(grid, PacketSpec(bin_index=n_bins - 1))
         assert_walk_matches_composition(env, plan)
 
@@ -311,7 +296,7 @@ class TestWalkAgainstStageComposition:
     )
     def test_complex_operator(self, grid31_2bins, code5, transition_time, fbg_spec):
         plan = interleaved_plan(grid31_2bins, fbg_spec, code5, transition_time)
-        assert not plan.operators.real
+        assert not plan.grating.real
         env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0, global_phase=0.4))
         assert_walk_matches_composition(env, plan)
 
@@ -322,7 +307,7 @@ class TestWalkAgainstStageComposition:
         )
         assert np.any(env.samples.imag) and np.any(env.samples.real)
         plan = interleaved_plan(grid31_2bins, fbg, code5)
-        assert plan.operators.real
+        assert plan.grating.real
         assert_walk_matches_composition(env, plan)
 
     def test_receiver_densities_match_per_pair_walks(self, grid31_2bins, fbg, code5):
