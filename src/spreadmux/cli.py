@@ -28,7 +28,6 @@ from .experiments import (
     TraceResult,
     reproduction_config,
     run_experiment,
-    trace_config,
 )
 
 __all__ = ["main"]
@@ -54,7 +53,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, metavar="FILE",
                         help="JSON file with scenario fields; flags override it")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None, dest="rng_seed")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--n-registers", type=str, default=None, metavar="LIST",
                         help="comma-separated register counts, e.g. 8,10,12")
@@ -66,30 +65,20 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transition-time", type=float, default=None)
 
 
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
+
+
 def _scenario_overrides(args: argparse.Namespace) -> dict:
-    """Flag values in ScenarioConfig field names, explicit ones only."""
-    mapping = {
-        "seed": "rng_seed",
-        "trials": "trials",
-        "n_registers": "n_registers",
-        "users": "users",
-        "bits_per_user": "bits_per_user",
-        "samples_per_chip": "samples_per_chip",
-        "sigma_filt": "sigma_filt",
-        "transition_time": "transition_time",
-    }
+    """Explicit flag values; each flag's dest is its ScenarioConfig field."""
     out = {}
-    for attr, field in mapping.items():
-        value = getattr(args, attr, None)
+    for field in sorted(_CONFIG_FIELDS - {"kind"}):
+        value = getattr(args, field, None)
         if value is None:
             continue
         if field in ("n_registers", "users"):
             value = _parse_int_list(value)
         out[field] = value
     return out
-
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _load_config_file(path: Path) -> dict:
@@ -104,9 +93,6 @@ def _load_config_file(path: Path) -> dict:
     unknown = set(payload) - _CONFIG_FIELDS - {"kind"}
     if unknown:
         raise CliError("config", f"unknown fields in {path}: {sorted(unknown)}")
-    for key in ("n_registers", "users"):
-        if key in payload and payload[key] is not None:
-            payload[key] = tuple(payload[key])
     return payload
 
 
@@ -141,8 +127,9 @@ def _emit_report(report: MetricsReport, fmt: str, out: Path | None) -> None:
 
 
 def _cmd_codes(args: argparse.Namespace) -> int:
+    taps = None if args.taps is None else _parse_int_list(args.taps)
     try:
-        spec = LfsrSpec(args.n_registers, taps=args.taps, seed=args.seed_state)
+        spec = LfsrSpec(args.n_registers, taps=taps, seed=args.seed_state)
         code = msequence_code(spec)
         if args.shift:
             code = shift_code(code, args.shift)
@@ -269,12 +256,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _trace_csv(result: TraceResult) -> str:
-    cfg = result.config
-    lines = [
-        f"# spreadmux {__version__}",
-        "# kind: trace",
-        f"# seed: {cfg.rng_seed}",
-        f"# config_hash: {cfg.config_hash()}",
+    lines = result.config.header_lines(kind="trace") + [
         f"# spreading: {result.grid.chips_per_bin}",
         f"# users: {len(result.users)}",
     ]
@@ -291,12 +273,7 @@ def _trace_csv(result: TraceResult) -> str:
 
 
 def _density_csv(result: TraceResult) -> str:
-    cfg = result.config
-    header = [
-        f"# spreadmux {__version__}",
-        "# kind: trace_density",
-        f"# seed: {cfg.rng_seed}",
-        f"# config_hash: {cfg.config_hash()}",
+    header = result.config.header_lines(kind="trace_density") + [
         ",".join(["time"] + [f"receiver_{uid}" for uid in result.users]),
     ]
     table = np.column_stack(
@@ -310,9 +287,7 @@ def _density_csv(result: TraceResult) -> str:
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
-    defaults = dataclasses.asdict(trace_config())
-    defaults.pop("kind")
-    config = _resolve_config("trace", args, defaults)
+    config = _resolve_config("trace", args)
     result = run_experiment(config)
     _write_text(args.out, _trace_csv(result))
     if args.density is not None:
@@ -333,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_codes = sub.add_parser("codes", help="emit one spreading code and its family data")
     p_codes.add_argument("--n-registers", type=int, required=True)
-    p_codes.add_argument("--taps", type=_parse_int_list, default=None)
+    p_codes.add_argument("--taps", type=str, default=None, metavar="LIST")
     p_codes.add_argument("--seed-state", type=int, default=None,
                          help="initial register contents, default all ones")
     p_codes.add_argument("--shift", type=int, default=0)

@@ -154,6 +154,17 @@ class ScenarioConfig:
         blob = json.dumps(self.as_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
+    def header_lines(self, **labels: str) -> list[str]:
+        """Comment lines that open every CSV output: the package version,
+        one ``# name: value`` line per label, the seed and the config hash."""
+        from . import __version__
+
+        return (
+            [f"# spreadmux {__version__}"]
+            + [f"# {name}: {value}" for name, value in labels.items()]
+            + [f"# seed: {self.rng_seed}", f"# config_hash: {self.config_hash()}"]
+        )
+
 
 def loss_config(**overrides) -> ScenarioConfig:
     return ScenarioConfig(kind="loss", **overrides)
@@ -224,19 +235,8 @@ class MetricsReport:
                 return c
         raise KeyError(f"no cell for n={n_registers}, users={users}, label={label!r}")
 
-    def header_lines(self) -> list[str]:
-        from . import __version__
-
-        return [
-            f"# spreadmux {__version__}",
-            f"# kind: {self.kind}",
-            f"# metric: {self.metric}",
-            f"# seed: {self.config.rng_seed}",
-            f"# config_hash: {self.config.config_hash()}",
-        ]
-
     def to_csv_text(self) -> str:
-        lines = self.header_lines()
+        lines = self.config.header_lines(kind=self.kind, metric=self.metric)
         labelled = any(c.label for c in self.cells)
         cols = "S,N,state,mean,stderr,trials" if labelled else "S,N,mean,stderr,trials"
         lines.append(cols)

@@ -10,10 +10,9 @@ the walk at that receiver's Drop.
 A stage applies one operator again and again: despread with the local code,
 let the grating take its narrowband bite, spread again. Each plan therefore
 builds, on first use, the grating's responses on its grid and every staged
-user's modulator waveform, and every walk through the plan reuses them. With
-ideal chip switching and a centred grating every operator of the chain is
-real, and photons walk in real arithmetic (real FFTs); otherwise they walk
-as complex amplitudes.
+user's modulator waveform, and every walk through the plan reuses them.
+Amplitudes walk as they are, real or complex; the grating
+(:class:`~spreadmux.optics.Grating`) filters either kind through real FFTs.
 """
 
 from __future__ import annotations
@@ -180,14 +179,8 @@ class NetworkPlan:
 
     @functools.cached_property
     def grating(self) -> Grating:
-        """The grating on this plan's grid, built on first use.
-
-        It is real when every waveform is a real +-1 train (ideal chip
-        switching) and the grating is centred; photons then walk in real
-        arithmetic.
-        """
-        real = self.transition_time == 0.0 and self.fbg.center_offset == 0.0
-        return Grating.on_grid(self.grid, self.fbg, real)
+        """The grating on this plan's grid, built on first use."""
+        return Grating.on_grid(self.grid, self.fbg)
 
     @functools.cached_property
     def waveforms(self) -> dict[int, np.ndarray]:
@@ -238,8 +231,6 @@ def _walk(
     Add, in chain order; Drops ahead of that Add never see the photon. At a
     Drop both output ports branch off one forward transform, and the through
     port is computed only when the walk is resumed and a later Drop remains.
-    ``samples`` must suit the operator: real (any leading axes) for a real
-    grating, real or complex for a complex one.
     """
     grating = plan.grating
     waveforms = plan.waveforms
@@ -275,8 +266,7 @@ def propagate_envelope(
 
     Stages ahead of the source's own Add cannot touch the photon and are
     skipped. If the target Drop precedes the source Add the delivered
-    amplitude is identically zero. Through a real operator, a complex input
-    walks as its stacked real and imaginary parts.
+    amplitude is identically zero.
     """
     if env.grid != plan.grid:
         raise ValueError("envelope grid does not match the plan grid")
@@ -286,14 +276,8 @@ def propagate_envelope(
     stages = plan.stages
     if stages.index(Stage("drop", receiver_id)) < stages.index(Stage("add", source_id)):
         return zero_envelope(plan.grid)  # dropped before insertion
-    samples = env.samples
-    stacked = False
-    if plan.grating.real:
-        stacked = bool(np.any(samples.imag))
-        samples = np.stack([samples.real, samples.imag]) if stacked else samples.real
-    delivered = next(d for r, d in _walk(samples, source_id, plan) if r == receiver_id)
-    if stacked:
-        delivered = delivered[0] + 1j * delivered[1]
+    walk = _walk(env.samples, source_id, plan)
+    delivered = next(d for r, d in walk if r == receiver_id)
     return SampledEnvelope(plan.grid, delivered)
 
 
@@ -315,15 +299,10 @@ def propagate_photon(
 
     The launch phase is common to every packet of the word and every stage
     is linear, so the phase-0 word (a real amplitude) is walked and the
-    phase applied to what arrives.
+    phase applied to what arrives. A word of zeros arrives as zeros.
     """
     _check_channel(channel, plan)
     word = _word_envelope(channel.bits, plan.grid)
-    if not any(channel.bits):
-        # nothing launched; skip the walk but keep the trace shape
-        if receiver_id not in plan.receivers:
-            raise ValueError(f"receiver {receiver_id} has no Drop stage in the plan")
-        return PhotonTrace(channel.user_id, receiver_id, word)
     delivered = propagate_envelope(word, channel.user_id, receiver_id, plan)
     phase = cmath.exp(1j * channel.global_phase)
     return PhotonTrace(channel.user_id, receiver_id, delivered * phase)
@@ -369,8 +348,6 @@ def receiver_densities(
         samples = _word_envelope(channel.bits, plan.grid).samples
         if not any(channel.bits):
             continue
-        if plan.grating.real:
-            samples = samples.real
         for receiver, delivered in _walk(samples, channel.user_id, plan):
             densities[receiver] += np.abs(delivered) ** 2
     return densities

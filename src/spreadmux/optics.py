@@ -4,18 +4,18 @@ The modulator multiplies the envelope by a unimodular code waveform m(t), one
 chip per interval bin_duration / S, with the code restarting at every bin
 boundary. It drives the phases (0, pi), so with ideal switching m(t) is a
 real +-1 train; a finite transition time ramps the phase and makes it
-complex. The grating is modelled as a zero-phase spectral splitter with a
-Gaussian reflection amplitude; reflection and transmission are energy
-complementary by construction.
+complex. The grating is a zero-phase band-pass centred on the despread
+packet, with a Gaussian reflection amplitude; reflection and transmission
+are energy complementary by construction.
 
 Every stage is built from three array primitives, shared by the public
 per-stage functions below and by the plan walk in ``network``: ``insert``
 (reflect, then spread), ``despread`` (the spectrum of passing light after the
 local modulator) and the two branches a grating splits that spectrum into,
 ``drop_branch`` and ``through_branch``. A :class:`Grating` carries the
-responses on one grid, computed when it is built, and the transform pair
-they act through: real FFTs when the whole operator maps real amplitudes to
-real amplitudes, complex FFTs otherwise. A plan builds its grating once;
+responses on one grid, computed when it is built. They are real and even in
+frequency, so the grating filters through real FFTs: a complex amplitude is
+filtered as its real and imaginary parts. A plan builds its grating once;
 each public per-stage function builds its own.
 """
 
@@ -125,16 +125,15 @@ def modulate(env: SampledEnvelope, spec: ModulatorSpec) -> SampledEnvelope:
 
 @dataclass(frozen=True)
 class FbgSpec:
-    """Gaussian reflection grating.
+    """Gaussian reflection grating centred on the despread packet.
 
-    Reflection amplitude R(f) = peak_reflectivity * exp(-(f - center)^2 /
-    (2 sigma_filt^2)) and transmission T(f) = sqrt(1 - R^2), both zero phase.
-    sigma_filt = inf gives a perfect mirror, peak_reflectivity = 0 a
-    degenerate all-pass element.
+    Reflection amplitude R(f) = peak_reflectivity * exp(-f^2 /
+    (2 sigma_filt^2)) and transmission T(f) = sqrt(1 - R^2), both real and
+    even in f (zero phase). sigma_filt = inf gives a perfect mirror,
+    peak_reflectivity = 0 a degenerate all-pass element.
     """
 
     sigma_filt: float
-    center_offset: float = 0.0
     peak_reflectivity: float = 1.0
 
     def __post_init__(self) -> None:
@@ -153,7 +152,7 @@ def grating_response(
     if math.isinf(fbg.sigma_filt):
         r = np.full(frequencies.shape, fbg.peak_reflectivity)
     else:
-        x = (frequencies - fbg.center_offset) / fbg.sigma_filt
+        x = frequencies / fbg.sigma_filt
         r = fbg.peak_reflectivity * np.exp(-0.5 * x * x)
     t = np.sqrt(np.maximum(0.0, 1.0 - r * r))
     return r, t
@@ -163,39 +162,39 @@ def grating_response(
 class Grating:
     """A grating's (reflect, transmit) responses on one grid's spectrum.
 
-    With real=True the responses sit on ``np.fft.rfftfreq`` and the grating
-    acts through rfft / irfft on real operands, which may carry leading axes
-    (a complex amplitude walks as its stacked real and imaginary parts).
-    That is exact only for a response even in frequency, i.e. a centred
-    grating. With real=False the responses sit on the full FFT-ordered
-    frequencies and the transform pair is fft / ifft.
+    The responses are real and even in frequency, so they sit on
+    ``np.fft.rfftfreq`` and the grating acts through rfft / irfft. This is
+    the only place that tells real amplitudes from complex ones: a complex
+    array is filtered as its stacked real and imaginary parts, and its
+    branches come back complex.
     """
 
     n_samples: int
-    real: bool
     reflect: np.ndarray
     transmit: np.ndarray
 
     @classmethod
-    def on_grid(cls, grid: TimeGrid, fbg: FbgSpec, real: bool) -> "Grating":
-        if real:
-            if fbg.center_offset != 0.0:
-                raise ValueError("an off-centre grating has no real-FFT form")
-            frequencies = np.fft.rfftfreq(grid.n_samples, d=grid.dt)
-        else:
-            frequencies = grid.frequencies
-        return cls(grid.n_samples, real, *grating_response(frequencies, fbg))
+    def on_grid(cls, grid: TimeGrid, fbg: FbgSpec) -> "Grating":
+        frequencies = np.fft.rfftfreq(grid.n_samples, d=grid.dt)
+        return cls(grid.n_samples, *grating_response(frequencies, fbg))
 
     def spectrum(self, samples: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(samples) if self.real else np.fft.fft(samples)
+        """Real-FFT spectrum. A complex array with a nonzero imaginary part
+        gives two rows, one for its real and one for its imaginary part."""
+        if np.iscomplexobj(samples):
+            if np.any(samples.imag):
+                samples = np.stack([samples.real, samples.imag])
+            else:
+                samples = samples.real
+        return np.fft.rfft(samples)
 
     def branch(self, spectrum: np.ndarray, response: np.ndarray) -> np.ndarray:
         """Time samples of one output port: the spectrum times its response."""
-        filtered = spectrum * response
-        if self.real:
-            # the length is explicit because grids can have odd length
-            return np.fft.irfft(filtered, self.n_samples)
-        return np.fft.ifft(filtered)
+        # the length is explicit because grids can have odd length
+        samples = np.fft.irfft(spectrum * response, self.n_samples)
+        if samples.ndim == 2:
+            return samples[0] + 1j * samples[1]
+        return samples
 
 
 def insert(samples: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
@@ -221,14 +220,14 @@ def through_branch(spectrum: np.ndarray, wave: np.ndarray, grating: Grating) -> 
 
 def fbg_reflect(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
     """Band-pass branch: amplitude R(f) applied in the frequency domain."""
-    grating = Grating.on_grid(env.grid, fbg, real=False)
+    grating = Grating.on_grid(env.grid, fbg)
     spectrum = grating.spectrum(env.samples)
     return SampledEnvelope(env.grid, grating.branch(spectrum, grating.reflect))
 
 
 def fbg_transmit(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
     """Band-stop branch: amplitude sqrt(1 - R^2)."""
-    grating = Grating.on_grid(env.grid, fbg, real=False)
+    grating = Grating.on_grid(env.grid, fbg)
     spectrum = grating.spectrum(env.samples)
     return SampledEnvelope(env.grid, grating.branch(spectrum, grating.transmit))
 
@@ -241,7 +240,7 @@ def _stage_operators(
         bin_duration=env.grid.bin_duration,
         transition_time=transition_time,
     )
-    return modulation_waveform(spec, env.grid), Grating.on_grid(env.grid, fbg, real=False)
+    return modulation_waveform(spec, env.grid), Grating.on_grid(env.grid, fbg)
 
 
 def mux_new_path(

@@ -177,7 +177,7 @@ class TestExactInvariants:
         grid = TimeGrid(1.0, 31, 4)
         for fbg in (
             FbgSpec(sigma_filt=8.0),
-            FbgSpec(sigma_filt=3.5, center_offset=2.0, peak_reflectivity=0.6),
+            FbgSpec(sigma_filt=3.5, peak_reflectivity=0.6),
             FbgSpec(sigma_filt=math.inf),
         ):
             r, t = grating_response(grid.frequencies, fbg)

@@ -83,6 +83,24 @@ class TestCodesCommand:
         assert code == 2
         assert "spreadmux: error: config:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["codes", "--n-registers", "5", "--taps", "5,x"],
+            ["simulate", "--kind", "loss", "--n-registers", "5,x"],
+            ["simulate", "--kind", "loss", "--users", "2,x"],
+        ],
+        ids=["taps", "n_registers", "users"],
+    )
+    def test_bad_integer_list_exits_usage(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"spreadmux: error: usage: expected comma-separated integers, "
+            f"got {argv[-1]!r}\n"
+        )
+
     def test_non_primitive_taps_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, ["codes", "--n-registers", "4", "--taps", "4,2"]
@@ -224,6 +242,16 @@ class TestConfigFile:
         )
         assert code == 2
         assert "kind" in err
+
+    def test_scalar_for_a_list_field_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_registers": 8}))
+        code, out, err = run_cli(
+            capsys, ["simulate", "--kind", "loss", "--config", str(cfg)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "spreadmux: error: config:" in err
 
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
