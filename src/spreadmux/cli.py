@@ -3,17 +3,22 @@
 Subcommands: codes, validate, simulate, tables, traces. All outputs carry a
 header block with the package version, the seed and a hash of the resolved
 configuration, and contain no timestamps, so identical invocations produce
-byte-identical files.
+byte-identical files. The density table of ``traces --density`` is streamed
+to its file in blocks of rows, each block formatted by one ``%`` operation
+at the same 10 significant digits as ``np.savetxt(fmt="%.10g")``, so the
+whole table never sits in memory as one string.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad usage or configuration.
-Errors print to stderr as "spreadmux: error: <category>: <message>".
+Output paths are checked before any cell runs: a missing directory is bad
+usage, and an error while writing is a runtime failure. Errors print to
+stderr as "spreadmux: error: <category>: <message>".
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
@@ -111,11 +116,33 @@ def _resolve_config(kind: str, args: argparse.Namespace, defaults: dict | None =
         raise CliError("config", str(exc))
 
 
+def _check_output(path: Path | None, flag: str) -> None:
+    """Reject an output path in a missing directory before any work is done."""
+    if path is not None and not path.parent.is_dir():
+        raise CliError(
+            "usage", f"{flag} {path}: directory {path.parent} does not exist"
+        )
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """An output file opened for writing; an OS error while writing it is a
+    runtime failure."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliError(
+            "runtime", f"cannot write {path}: {exc}", exit_code=_RUNTIME_EXIT
+        )
+
+
 def _write_text(out: Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        out.write_text(text)
+        return
+    with _writing(out) as fh:
+        fh.write(text)
 
 
 def _emit_report(report: MetricsReport, fmt: str, out: Path | None) -> None:
@@ -127,6 +154,7 @@ def _emit_report(report: MetricsReport, fmt: str, out: Path | None) -> None:
 
 
 def _cmd_codes(args: argparse.Namespace) -> int:
+    _check_output(args.out, "--out")
     taps = None if args.taps is None else _parse_int_list(args.taps)
     try:
         spec = LfsrSpec(args.n_registers, taps=taps, seed=args.seed_state)
@@ -226,6 +254,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args.kind, args)
+    _check_output(args.out, "--out")
     report = run_experiment(config)
     _emit_report(report, args.format, args.out)
     return 0
@@ -238,7 +267,10 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     kinds = ("loss", "crosstalk", "fidelity") if args.which == "all" else (args.which,)
     out_dir = args.out_dir
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError("usage", f"--out-dir {out_dir}: cannot create: {exc}")
     for kind in kinds:
         defaults = dataclasses.asdict(reproduction_config(kind, full=args.full))
         defaults.pop("kind")
@@ -272,26 +304,41 @@ def _trace_csv(result: TraceResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _density_csv(result: TraceResult) -> str:
+# Rows per formatted block of the density file: enough rows that the
+# per-block Python work vanishes, few enough that one block's text stays a
+# few hundred kB (1024 to 8192 rows format equally fast).
+_DENSITY_BLOCK_ROWS = 4096
+
+
+def _write_density(path: Path, result: TraceResult) -> None:
+    """Write the density table: the time column, then one per receiver.
+
+    Bytes are those of ``np.savetxt(fmt="%.10g", delimiter=",")`` with the
+    header lines above the table, but each block of rows is formatted by one
+    ``%`` operation on its Python floats instead of one per row.
+    """
     header = result.config.header_lines(kind="trace_density") + [
         ",".join(["time"] + [f"receiver_{uid}" for uid in result.users]),
     ]
-    table = np.column_stack(
-        [result.grid.times] + [result.densities[uid] for uid in result.users]
-    )
-    buf = io.StringIO()
-    np.savetxt(
-        buf, table, fmt="%.10g", delimiter=",", header="\n".join(header), comments=""
-    )
-    return buf.getvalue()
+    columns = [result.grid.times] + [result.densities[uid] for uid in result.users]
+    row_fmt = ",".join(["%.10g"] * len(columns)) + "\n"
+    with _writing(path) as fh:
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, result.grid.n_samples, _DENSITY_BLOCK_ROWS):
+            block = np.column_stack(
+                [column[start:start + _DENSITY_BLOCK_ROWS] for column in columns]
+            )
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _cmd_traces(args: argparse.Namespace) -> int:
     config = _resolve_config("trace", args)
+    _check_output(args.out, "--out")
+    _check_output(args.density, "--density")
     result = run_experiment(config)
     _write_text(args.out, _trace_csv(result))
     if args.density is not None:
-        args.density.write_text(_density_csv(result))
+        _write_density(args.density, result)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,7 +100,7 @@ class ScenarioConfig:
         grid = _DEFAULT_GRID.get(self.kind, _SWEEP_GRID)
         for name, default in zip(("n_registers", "users"), grid):
             value = getattr(self, name)
-            value = default if value is None else tuple(int(v) for v in value)
+            value = default if value is None else _integer_tuple(name, value)
             object.__setattr__(self, name, value)
         if not self.n_registers or not self.users:
             raise ValueError("n_registers and users must be non-empty")
@@ -164,6 +165,23 @@ class ScenarioConfig:
             + [f"# {name}: {value}" for name, value in labels.items()]
             + [f"# seed: {self.rng_seed}", f"# config_hash: {self.config_hash()}"]
         )
+
+
+def _integer_tuple(name: str, value) -> tuple[int, ...]:
+    """A list field as a tuple of ints; a string, a scalar or an entry that
+    is not a whole number is rejected with the field's name."""
+    problem = ValueError(f"{name} must be a list of integers, got {value!r}")
+    if isinstance(value, (str, bytes)):
+        raise problem
+    try:
+        entries = list(value)
+    except TypeError:
+        raise problem from None
+    for v in entries:
+        whole = isinstance(v, numbers.Real) and float(v).is_integer()
+        if isinstance(v, bool) or not whole:
+            raise problem
+    return tuple(int(v) for v in entries)
 
 
 def loss_config(**overrides) -> ScenarioConfig:

@@ -10,7 +10,10 @@ the walk at that receiver's Drop.
 A stage applies one operator again and again: despread with the local code,
 let the grating take its narrowband bite, spread again. Each plan therefore
 builds, on first use, the grating's responses on its grid and every staged
-user's modulator waveform, and every walk through the plan reuses them.
+user's modulator waveform, and every walk through the plan reuses them. A
+word is a sum of unit packets, one per 1-bit, and its grid has one unit
+packet per bin, so the plan also keeps those packets and every sender's
+word is added up from them.
 Amplitudes walk as they are, real or complex; the grating
 (:class:`~spreadmux.optics.Grating`) filters either kind through real FFTs.
 """
@@ -194,6 +197,26 @@ class NetworkPlan:
                 waveforms[stage.user_id] = modulation_waveform(spec, self.grid)
         return waveforms
 
+    @functools.cached_property
+    def packets(self) -> np.ndarray:
+        """Every bin's unit packet at phase 0, one real row per bin, built
+        on first use."""
+        table = np.empty((self.grid.n_bins, self.grid.n_samples))
+        for k in range(self.grid.n_bins):
+            table[k] = gaussian_packet(self.grid, PacketSpec(bin_index=k)).samples.real
+        return table
+
+    def word(self, bits: Sequence[int]) -> np.ndarray:
+        """Phase-0 amplitude of a word, all real: zeros plus the unit packet
+        of every 1-bit, added in bit order as :func:`channel_envelope` adds
+        them."""
+        _check_word_length(bits, self.grid)
+        word = np.zeros(self.grid.n_samples)
+        for idx, bit in enumerate(bits):
+            if bit:
+                word += self.packets[idx]
+        return word
+
 
 @dataclass(frozen=True, eq=False)
 class PhotonTrace:
@@ -204,22 +227,21 @@ class PhotonTrace:
     envelope: SampledEnvelope
 
 
-def channel_envelope(channel: UserChannel, grid: TimeGrid) -> SampledEnvelope:
-    """Initial amplitude: one unit Gaussian packet per 1-bit, common phase."""
-    return _word_envelope(channel.bits, grid) * cmath.exp(1j * channel.global_phase)
-
-
-def _word_envelope(bits: Sequence[int], grid: TimeGrid) -> SampledEnvelope:
-    """Phase-0 amplitude of a word: one unit packet per 1-bit, all real."""
+def _check_word_length(bits: Sequence[int], grid: TimeGrid) -> None:
     if len(bits) != grid.n_bins:
         raise ValueError(
             f"channel sends {len(bits)} bits but grid has {grid.n_bins} bins"
         )
+
+
+def channel_envelope(channel: UserChannel, grid: TimeGrid) -> SampledEnvelope:
+    """Initial amplitude: one unit Gaussian packet per 1-bit, common phase."""
+    _check_word_length(channel.bits, grid)
     env = zero_envelope(grid)
-    for idx, bit in enumerate(bits):
+    for idx, bit in enumerate(channel.bits):
         if bit:
             env = env + gaussian_packet(grid, PacketSpec(bin_index=idx))
-    return env
+    return env * cmath.exp(1j * channel.global_phase)
 
 
 def _walk(
@@ -298,11 +320,12 @@ def propagate_photon(
     """Deliver one sender's photon amplitude to one receiver.
 
     The launch phase is common to every packet of the word and every stage
-    is linear, so the phase-0 word (a real amplitude) is walked and the
-    phase applied to what arrives. A word of zeros arrives as zeros.
+    is linear, so the phase-0 word (a real amplitude from the plan's
+    packets) is walked and the phase applied to what arrives. A word of
+    zeros arrives as zeros.
     """
     _check_channel(channel, plan)
-    word = _word_envelope(channel.bits, plan.grid)
+    word = SampledEnvelope(plan.grid, plan.word(channel.bits))
     delivered = propagate_envelope(word, channel.user_id, receiver_id, plan)
     phase = cmath.exp(1j * channel.global_phase)
     return PhotonTrace(channel.user_id, receiver_id, delivered * phase)
@@ -345,7 +368,7 @@ def receiver_densities(
     for channel in channels:
         _check_channel(channel, plan)
         _check_source(channel.user_id, plan)
-        samples = _word_envelope(channel.bits, plan.grid).samples
+        samples = plan.word(channel.bits)
         if not any(channel.bits):
             continue
         for receiver, delivered in _walk(samples, channel.user_id, plan):

@@ -1,9 +1,12 @@
 """Command line interface: parsing, precedence, formats and exit codes."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
+from spreadmux import cli
 from spreadmux.cli import main
 from spreadmux.experiments import run_experiment, trace_config
 
@@ -253,6 +256,27 @@ class TestConfigFile:
         assert out == ""
         assert "spreadmux: error: config:" in err
 
+    @pytest.mark.parametrize(
+        "payload,field,value",
+        [
+            ({"n_registers": "89", "users": "23"}, "n_registers", "'89'"),
+            ({"n_registers": 8}, "n_registers", "8"),
+            ({"n_registers": [5], "users": "2"}, "users", "'2'"),
+        ],
+    )
+    def test_list_field_error_names_field_and_value(
+        self, capsys, tmp_path, payload, field, value
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            capsys, ["simulate", "--kind", "loss", "--config", str(cfg)]
+        )
+        assert code == 2
+        assert out == ""
+        expected = f"{field} must be a list of integers, got {value}"
+        assert err == f"spreadmux: error: config: {expected}\n"
+
     def test_missing_file_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -323,3 +347,76 @@ class TestTracesCommand:
         columns = [result.grid.times] + [result.densities[uid] for uid in (1, 2)]
         expected = [",".join(f"{v:.10g}" for v in row) for row in zip(*columns)]
         assert lines[lines.index("time,receiver_1,receiver_2") + 1:] == expected
+
+
+class TestOutputPaths:
+    @pytest.fixture
+    def no_cells(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a cell ran before the output path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (TINY_SIM + ["--out"], "--out"),
+            (TestTracesCommand.TINY + ["--out"], "--out"),
+            (TestTracesCommand.TINY + ["--density"], "--density"),
+            (["codes", "--n-registers", "5", "--out"], "--out"),
+        ],
+    )
+    def test_missing_directory_rejected_before_any_cell(
+        self, capsys, tmp_path, no_cells, argv, flag
+    ):
+        path = tmp_path / "missing" / "file.csv"
+        code, out, err = run_cli(capsys, argv + [str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"spreadmux: error: usage: {flag} {path}:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--density"])
+    def test_write_failure_is_one_runtime_line(self, capsys, tmp_path, flag):
+        # the path is a directory, so opening it for writing fails
+        argv = TestTracesCommand.TINY + [flag, str(tmp_path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert err.startswith(f"spreadmux: error: runtime: cannot write {tmp_path}:")
+        assert err.count("\n") == 1
+
+    def test_tables_creates_its_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "a" / "b"
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "tables", "--which", "loss", "--out-dir", str(out_dir),
+                "--n-registers", "5", "--users", "2", "--trials", "2",
+            ],
+        )
+        assert code == 0
+        assert (out_dir / "loss.csv").is_file()
+
+
+class TestDensityWriter:
+    def test_bytes_match_savetxt_across_blocks(self, tmp_path):
+        result = run_experiment(
+            trace_config(n_registers=(9,), users=(3,), bits_per_user=5)
+        )
+        rows = result.grid.n_samples
+        assert rows > 2 * cli._DENSITY_BLOCK_ROWS
+        assert rows % cli._DENSITY_BLOCK_ROWS != 0
+        header = result.config.header_lines(kind="trace_density") + [
+            "time,receiver_1,receiver_2,receiver_3"
+        ]
+        table = np.column_stack(
+            [result.grid.times] + [result.densities[uid] for uid in (1, 2, 3)]
+        )
+        buf = io.StringIO()
+        np.savetxt(
+            buf, table, fmt="%.10g", delimiter=",", header="\n".join(header),
+            comments="",
+        )
+        path = tmp_path / "density.csv"
+        cli._write_density(path, result)
+        assert path.read_bytes() == buf.getvalue().encode()

@@ -42,6 +42,23 @@ class TestScenarioConfig:
         assert cfg.n_registers == (8, 10)
         assert cfg.users == (5,)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_registers", "89"),
+            ("users", "23"),
+            ("n_registers", 8),
+            ("users", [2.5]),
+            ("n_registers", [True]),
+            ("users", ["2"]),
+        ],
+    )
+    def test_list_fields_take_integers_only(self, field, value):
+        message = f"{field} must be a list of integers"
+        with pytest.raises(ValueError, match=message) as info:
+            ScenarioConfig(kind="loss", **{field: value})
+        assert repr(value) in str(info.value)
+
     def test_empty_grids_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             ScenarioConfig(kind="loss", n_registers=())

@@ -135,6 +135,26 @@ class TestChannelEnvelope:
         )
 
 
+class TestPlanWord:
+    WORDS = {
+        "all_ones": (1,) * 8,
+        "single_one": (0, 0, 0, 0, 0, 1, 0, 0),
+        "random": tuple(int(b) for b in np.random.default_rng(5).integers(0, 2, 8)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_matches_channel_envelope(self, fbg, code5, name):
+        grid = TimeGrid(1.0, 31, 4, n_bins=8)
+        plan = NetworkPlan.fifo(grid, fbg, code5, 1)
+        bits = self.WORDS[name]
+        expected = channel_envelope(UserChannel(1, code5, bits), grid).samples.real
+        assert np.array_equal(plan.word(bits), expected)
+
+    def test_bit_count_must_match_bins(self, plan3):
+        with pytest.raises(ValueError, match="bits"):
+            plan3.word((1, 0))
+
+
 class TestPropagation:
     def test_single_user_delivery_matches_oracle(self, grid31, fbg, code5):
         plan = NetworkPlan.fifo(grid31, fbg, code5, 1)
