@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -117,8 +118,14 @@ def _resolve_config(kind: str, args: argparse.Namespace, defaults: dict | None =
 
 
 def _check_output(path: Path | None, flag: str) -> None:
-    """Reject an output path in a missing directory before any work is done."""
-    if path is not None and not path.parent.is_dir():
+    """Reject an output path that is a directory, or lies in a missing one,
+    before any work is done."""
+    if path is None:
+        return
+    # os.path.isdir is False for a name too long to stat; Path.is_dir raises
+    if os.path.isdir(path):
+        raise CliError("usage", f"{flag} {path}: is a directory")
+    if not os.path.isdir(path.parent):
         raise CliError(
             "usage", f"{flag} {path}: directory {path.parent} does not exist"
         )

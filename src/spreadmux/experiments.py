@@ -133,16 +133,17 @@ class ScenarioConfig:
             raise ValueError(
                 f"samples_per_chip must be >= 2, got {self.samples_per_chip}"
             )
-        if self.transition_time < 0:
-            raise ValueError("transition_time must be non-negative")
-        # one chip of the longest code, at bin_duration = 1
+        # one chip of the longest code, at bin_duration = 1; NaN fails too
         chip = 1 / (2 ** max(self.n_registers) - 1)
-        if self.transition_time >= chip:
+        if not 0 <= self.transition_time < chip:
             raise ValueError(
-                f"transition_time must be shorter than one chip of "
-                f"n_registers={max(self.n_registers)} ({chip:.3e}), got "
+                f"transition_time must lie in [0, {chip:.3e}), shorter than one "
+                f"chip of n_registers={max(self.n_registers)}, got "
                 f"{self.transition_time}"
             )
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
     @property
     def resolved_trials(self) -> int:
@@ -349,15 +350,19 @@ def _sweep(
 def _loss_cell(
     config: ScenarioConfig, grid: TimeGrid, base: SpreadingCode, n_users: int
 ) -> Callable[[np.random.Generator], dict[str, float]]:
-    # one plan per cell: every trial walks the same chain
+    # one plan per cell: every trial walks the same chain, so a sender's
+    # loss is walked once and reused when a later trial draws it again
     plan = NetworkPlan.fifo(
         grid, _grating(config), base, n_users, config.transition_time
     )
+    losses: dict[int, float] = {}
 
     def trial(rng: np.random.Generator) -> dict[str, float]:
         sender = int(rng.integers(1, n_users + 1))
-        channel = UserChannel(sender, plan.codes[sender], (1,))
-        return {"": loss_probability(propagate_photon(channel, sender, plan))}
+        if sender not in losses:
+            channel = UserChannel(sender, plan.codes[sender], (1,))
+            losses[sender] = loss_probability(propagate_photon(channel, sender, plan))
+        return {"": losses[sender]}
 
     return trial
 

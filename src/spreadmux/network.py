@@ -15,7 +15,8 @@ word is a sum of unit packets, one per 1-bit, and its grid has one unit
 packet per bin, so the plan also keeps those packets and every sender's
 word is added up from them.
 Amplitudes walk as they are, real or complex; the grating
-(:class:`~spreadmux.optics.Grating`) filters either kind through real FFTs.
+(:class:`~spreadmux.optics.Grating`) filters either kind through real FFTs
+of the narrow band it changes.
 """
 
 from __future__ import annotations
@@ -265,12 +266,12 @@ def _walk(
     for pos in range(start + 1, last_drop + 1):
         stage = stages[pos]
         wave = waveforms[stage.user_id]
-        spectrum = despread(samples, wave, grating)
+        light, spectrum = despread(samples, wave, grating)
         if stage.kind == "drop":
             yield stage.user_id, drop_branch(spectrum, grating)
             if pos == last_drop:
                 return
-        samples = through_branch(spectrum, wave, grating)
+        samples = through_branch(light, spectrum, wave, grating)
 
 
 def _check_source(source_id: int, plan: NetworkPlan) -> None:

@@ -10,13 +10,21 @@ are energy complementary by construction.
 
 Every stage is built from three array primitives, shared by the public
 per-stage functions below and by the plan walk in ``network``: ``insert``
-(reflect, then spread), ``despread`` (the spectrum of passing light after the
-local modulator) and the two branches a grating splits that spectrum into,
-``drop_branch`` and ``through_branch``. A :class:`Grating` carries the
-responses on one grid, computed when it is built. They are real and even in
-frequency, so the grating filters through real FFTs: a complex amplitude is
-filtered as its real and imaginary parts. A plan builds its grating once;
-each public per-stage function builds its own.
+(reflect, then spread), ``despread`` (passing light after the local
+modulator, with its spectrum) and the two branches a grating splits that
+light into, ``drop_branch`` and ``through_branch``. A :class:`Grating`
+carries the responses on one grid, computed when it is built. They are real
+and even in frequency, so the grating filters through real FFTs: a complex
+amplitude is filtered as its real and imaginary parts. A plan builds its
+grating once; each public per-stage function builds its own.
+
+The grating touches only a narrow band of low frequencies: beyond it the
+reflection is below rounding and the transmission is exactly 1.0. So the
+grating transforms only that band, with polyphase FFTs over short rows of
+the samples, and the transmitted port is the incoming light minus what the
+grating takes out of the band ((1 - T) times its spectrum). No stage runs a
+transform over the whole grid, and the outputs agree with full-length
+filtering to rounding.
 """
 
 from __future__ import annotations
@@ -158,40 +166,94 @@ def grating_response(
     return r, t
 
 
+# Outside a grating's band R <= _BAND_EDGE and T == 1.0 (1 - R^2 rounds to
+# 1.0 once R < 7e-9), so the through port is exact there. The reflection
+# left out is the Gaussian tail beyond the edge, about 9.1 sigma_filt: over
+# bins 1 / (n_bins * bin_duration) apart it sums to about n_bins *
+# sigma_filt * bin_duration / 9 times _BAND_EDGE, and no spectrum bin
+# exceeds the input's peak times the grid length, so no reflected sample
+# moves by more than about 2.2e-19 * n_bins * sigma_filt * bin_duration
+# times the input's peak: 1.4e-17 at the default 8 / T with 8 bins, well
+# under the 2.2e-16 rounding unit of the FFTs themselves.
+_BAND_EDGE = 1e-18
+
+
 @dataclass(frozen=True, eq=False)
 class Grating:
-    """A grating's (reflect, transmit) responses on one grid's spectrum.
+    """A grating on one grid, acting on a band of its lowest rfft bins only.
 
-    The responses are real and even in frequency, so they sit on
-    ``np.fft.rfftfreq`` and the grating acts through rfft / irfft. This is
-    the only place that tells real amplitudes from complex ones: a complex
-    array is filtered as its stacked real and imaginary parts, and its
-    branches come back complex.
+    The band is the K lowest bins of ``np.fft.rfftfreq``: every bin where
+    R > 1e-18 or T != 1.0 lies in it. ``reflect`` holds R and ``bite``
+    holds 1 - T on the band, and outside it the grating passes light
+    unchanged. The grid's N samples are cut into D polyphase rows of
+    length L = N / D, sample l * D + d going to row d, where L is the
+    smallest divisor of N with K <= L // 2 (or N itself, D = 1, if there is
+    none). A band bin k of the whole grid is bin k of every row's rfft,
+    shifted by the twiddle exp(-2 pi i k d / N) of its row; ``forward``
+    and ``inverse`` hold those (D, K) twiddles, the inverse ones divided by
+    D. So ``spectrum`` is one rfft over the rows and a twiddle sum, and
+    ``branch`` one irfft over the twiddled rows, with no transform of
+    length N. D = 1 is the same code with unit twiddles: a plain rfft /
+    irfft pair, as on small grids or a perfect mirror (whose band is the
+    whole spectrum). An all-pass grating changes no bin; its band is bin 0
+    alone, where both responses are 0.
+
+    This is the only place that tells real amplitudes from complex ones: a
+    complex array is filtered as its stacked real and imaginary parts, and
+    its branches come back complex.
     """
 
     n_samples: int
     reflect: np.ndarray
-    transmit: np.ndarray
+    bite: np.ndarray
+    forward: np.ndarray
+    inverse: np.ndarray
 
     @classmethod
     def on_grid(cls, grid: TimeGrid, fbg: FbgSpec) -> "Grating":
-        frequencies = np.fft.rfftfreq(grid.n_samples, d=grid.dt)
-        return cls(grid.n_samples, *grating_response(frequencies, fbg))
+        n = grid.n_samples
+        reflect, transmit = grating_response(np.fft.rfftfreq(n, d=grid.dt), fbg)
+        changed = np.flatnonzero((reflect > _BAND_EDGE) | (transmit != 1.0))
+        # at least bin 0, so that every transform has a bin to work on
+        band = 1 + int(changed.max(initial=0))
+        length = next((m for m in range(2 * band, n + 1) if n % m == 0), n)
+        rows = n // length
+        # row d, bin k; d * k < n / 2, so the angles need no reduction
+        angle = (2 * np.pi / n) * np.outer(np.arange(rows), np.arange(band))
+        return cls(
+            n_samples=n,
+            reflect=reflect[:band],
+            bite=1.0 - transmit[:band],
+            forward=np.exp(-1j * angle),
+            inverse=np.exp(1j * angle) / rows,
+        )
+
+    @property
+    def rows(self) -> int:
+        """D, the number of polyphase rows."""
+        return self.forward.shape[0]
 
     def spectrum(self, samples: np.ndarray) -> np.ndarray:
-        """Real-FFT spectrum. A complex array with a nonzero imaginary part
-        gives two rows, one for its real and one for its imaginary part."""
+        """The band of the real-FFT spectrum. A complex array with a nonzero
+        imaginary part gives two rows, one for its real and one for its
+        imaginary part."""
         if np.iscomplexobj(samples):
             if np.any(samples.imag):
                 samples = np.stack([samples.real, samples.imag])
             else:
                 samples = samples.real
-        return np.fft.rfft(samples)
+        rows, band = self.forward.shape
+        phases = samples.reshape(*samples.shape[:-1], -1, rows).swapaxes(-1, -2)
+        row_spectra = np.fft.rfft(phases)[..., :band]
+        return (row_spectra * self.forward).sum(axis=-2)
 
     def branch(self, spectrum: np.ndarray, response: np.ndarray) -> np.ndarray:
-        """Time samples of one output port: the spectrum times its response."""
-        # the length is explicit because grids can have odd length
-        samples = np.fft.irfft(spectrum * response, self.n_samples)
+        """Time samples of the band spectrum times a response on the band."""
+        rows = self.rows
+        twiddled = (spectrum * response)[..., None, :] * self.inverse
+        # the length is explicit because rows can have odd length
+        phases = np.fft.irfft(twiddled, self.n_samples // rows)
+        samples = phases.swapaxes(-1, -2).reshape(*phases.shape[:-2], self.n_samples)
         if samples.ndim == 2:
             return samples[0] + 1j * samples[1]
         return samples
@@ -202,10 +264,13 @@ def insert(samples: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarra
     return wave * grating.branch(grating.spectrum(samples), grating.reflect)
 
 
-def despread(samples: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
-    """Spectrum of passing light after the local modulator; both ports of
-    the stage's grating branch off this one transform."""
-    return grating.spectrum(wave * samples)
+def despread(
+    samples: np.ndarray, wave: np.ndarray, grating: Grating
+) -> tuple[np.ndarray, np.ndarray]:
+    """Passing light after the local modulator, and its band spectrum; both
+    ports of the stage's grating branch off this one transform."""
+    light = wave * samples
+    return light, grating.spectrum(light)
 
 
 def drop_branch(spectrum: np.ndarray, grating: Grating) -> np.ndarray:
@@ -213,9 +278,12 @@ def drop_branch(spectrum: np.ndarray, grating: Grating) -> np.ndarray:
     return grating.branch(spectrum, grating.reflect)
 
 
-def through_branch(spectrum: np.ndarray, wave: np.ndarray, grating: Grating) -> np.ndarray:
-    """Transmitted port, spread back with the local code."""
-    return wave * grating.branch(spectrum, grating.transmit)
+def through_branch(
+    light: np.ndarray, spectrum: np.ndarray, wave: np.ndarray, grating: Grating
+) -> np.ndarray:
+    """Transmitted port, spread back with the local code: the despread light
+    less what the grating takes out of its band, (1 - T) times its spectrum."""
+    return wave * (light - grating.branch(spectrum, grating.bite))
 
 
 def fbg_reflect(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
@@ -229,7 +297,7 @@ def fbg_transmit(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
     """Band-stop branch: amplitude sqrt(1 - R^2)."""
     grating = Grating.on_grid(env.grid, fbg)
     spectrum = grating.spectrum(env.samples)
-    return SampledEnvelope(env.grid, grating.branch(spectrum, grating.transmit))
+    return SampledEnvelope(env.grid, env.samples - grating.branch(spectrum, grating.bite))
 
 
 def _stage_operators(
@@ -273,8 +341,8 @@ def mux_old_path(
     the original spreading.
     """
     wave, grating = _stage_operators(env, code, fbg, transition_time)
-    spectrum = despread(env.samples, wave, grating)
-    return SampledEnvelope(env.grid, through_branch(spectrum, wave, grating))
+    light, spectrum = despread(env.samples, wave, grating)
+    return SampledEnvelope(env.grid, through_branch(light, spectrum, wave, grating))
 
 
 def demux_drop_path(
@@ -285,7 +353,7 @@ def demux_drop_path(
 ) -> SampledEnvelope:
     """Drop stage towards the local receiver: despread, keep the reflection."""
     wave, grating = _stage_operators(env, code, fbg, transition_time)
-    spectrum = despread(env.samples, wave, grating)
+    _, spectrum = despread(env.samples, wave, grating)
     return SampledEnvelope(env.grid, drop_branch(spectrum, grating))
 
 

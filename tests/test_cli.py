@@ -178,6 +178,25 @@ class TestSimulateCommand:
         assert out == ""
         assert "spreadmux: error: config: transition_time" in err
 
+    @pytest.mark.parametrize(
+        "extra,field",
+        [
+            (["--transition-time", "nan"], "transition_time"),
+            (["--seed", "-1"], "rng_seed"),
+        ],
+        ids=["nan_transition", "negative_seed"],
+    )
+    def test_bad_value_rejected_before_any_cell(self, capsys, monkeypatch, extra, field):
+        def refuse(config):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        code, out, err = run_cli(capsys, TINY_SIM + extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"spreadmux: error: config: {field}")
+        assert err.count("\n") == 1
+
     def test_one_sample_per_chip_rejected_before_any_cell(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -376,13 +395,39 @@ class TestOutputPaths:
         assert err.startswith(f"spreadmux: error: usage: {flag} {path}:")
         assert err.count("\n") == 1
 
+    def test_overlong_directory_name_is_one_usage_line(self, capsys, tmp_path, no_cells):
+        path = tmp_path / ("x" * 300) / "file.csv"
+        code, out, err = run_cli(capsys, TINY_SIM + ["--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"spreadmux: error: usage: --out {path}:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (TINY_SIM + ["--out"], "--out"),
+            (TestTracesCommand.TINY + ["--out"], "--out"),
+            (TestTracesCommand.TINY + ["--density"], "--density"),
+            (["codes", "--n-registers", "5", "--out"], "--out"),
+        ],
+    )
+    def test_existing_directory_rejected_before_any_cell(
+        self, capsys, tmp_path, no_cells, argv, flag
+    ):
+        code, out, err = run_cli(capsys, argv + [str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"spreadmux: error: usage: {flag} {tmp_path}: is a directory\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--density"])
     def test_write_failure_is_one_runtime_line(self, capsys, tmp_path, flag):
-        # the path is a directory, so opening it for writing fails
-        argv = TestTracesCommand.TINY + [flag, str(tmp_path)]
+        # the name is too long for the file system, so opening it fails
+        path = tmp_path / ("x" * 300)
+        argv = TestTracesCommand.TINY + [flag, str(path)]
         code, _, err = run_cli(capsys, argv)
         assert code == 1
-        assert err.startswith(f"spreadmux: error: runtime: cannot write {tmp_path}:")
+        assert err.startswith(f"spreadmux: error: runtime: cannot write {path}:")
         assert err.count("\n") == 1
 
     def test_tables_creates_its_directory(self, capsys, tmp_path):

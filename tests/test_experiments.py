@@ -88,6 +88,9 @@ class TestScenarioConfig:
             ("bits_per_user", 0),
             ("sigma_filt", -1.0),
             ("transition_time", -0.1),
+            ("transition_time", float("nan")),
+            ("rng_seed", -1),
+            ("rng_seed", 1.5),
         ],
     )
     def test_scalar_validation(self, field, value):

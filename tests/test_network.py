@@ -1,5 +1,8 @@
 """Chain construction, validation, photon walks and receiver densities."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -256,7 +259,7 @@ class TestPropagateAllAndDensity:
 
 def composed_walk(env, source_id, receiver_id, plan):
     """The chain spelled out stage by stage with the public per-stage
-    functions, which always work on complex amplitudes and full FFTs."""
+    functions, which always work on complex amplitudes."""
     tau, fbg = plan.transition_time, plan.fbg
     inserted = False
     for stage in plan.stages:
@@ -357,3 +360,36 @@ class TestWalkAgainstStageComposition:
             )
             peak = np.max(expected)
             assert np.max(np.abs(result.densities[receiver] - expected)) <= 1e-12 * peak
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+
+
+def _reference_module():
+    # bench/reference.py imports numpy only and shares no code with spreadmux
+    spec = importlib.util.spec_from_file_location("bench_reference", REFERENCE)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference
+
+
+class TestWalkAgainstReferenceChain:
+    def test_polyphase_walk_matches_full_fft_chain(self, fbg):
+        # n = 7, 8 bins: 4064 samples, a grating band of 583 bins, and so
+        # two polyphase rows of 2032 samples
+        reference = _reference_module()
+        base = msequence_code(LfsrSpec(7))
+        grid = TimeGrid(1.0, 127, reference.SAMPLES_PER_CHIP, 8)
+        users = [1, 2, 3, 4, 5, 6]
+        drop_order = [4, 1, 6, 2, 5, 3]
+        plan = NetworkPlan.from_orders(grid, fbg, base, users, drop_order)
+        assert plan.grating.rows == 2
+        chain = reference.ReferenceChain(base.chips, 8, fbg.sigma_filt)
+        bits = (1, 0, 1, 1, 0, 0, 1, 0)
+        for source, receiver in ((2, 4), (5, 5), (1, 3)):
+            channel = UserChannel(source, plan.codes[source], bits, global_phase=0.7)
+            walked = propagate_photon(channel, receiver, plan).envelope.samples
+            launched = plan.word(bits) * np.exp(0.7j)
+            expected = chain.deliver(launched, users, drop_order, source, receiver)
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(walked - expected)) <= 1e-12 * peak, (source, receiver)

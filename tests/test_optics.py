@@ -16,6 +16,7 @@ import pytest
 from spreadmux.codes import LfsrSpec, msequence_code, shift_code
 from spreadmux.optics import (
     FbgSpec,
+    Grating,
     ModulatorSpec,
     demux_drop_path,
     demux_through_path,
@@ -182,6 +183,87 @@ class TestFbg:
                               (fbg_transmit(env, fbg), transmit)):
             expected = to_time(grid, to_frequency(env) * response)
             np.testing.assert_allclose(out.samples, expected.samples, rtol=0, atol=1e-12)
+
+    # (chips per bin, samples per chip, bins, grating) -> polyphase rows D
+    BAND_GRIDS = {
+        "even_polyphase": ((127, 4, 8, FbgSpec(8.0)), 2),
+        "odd_polyphase": ((255, 3, 3, FbgSpec(8.0)), 5),
+        "narrow_grating": ((31, 3, 5, FbgSpec(1.0)), 5),
+        "one_row": ((31, 4, 1, FbgSpec(8.0)), 1),
+        "all_pass": ((127, 4, 8, FbgSpec(8.0, peak_reflectivity=0.0)), 2032),
+        "mirror": ((127, 4, 2, FbgSpec(math.inf)), 1),
+    }
+
+    @staticmethod
+    def band_grid(name):
+        (chips, samples_per_chip, n_bins, fbg), rows = TestFbg.BAND_GRIDS[name]
+        return TimeGrid(1.0, chips, samples_per_chip, n_bins), fbg, rows
+
+    @pytest.mark.parametrize("name", list(BAND_GRIDS))
+    def test_band_covers_every_bin_the_grating_changes(self, name):
+        grid, fbg, rows = self.band_grid(name)
+        grating = Grating.on_grid(grid, fbg)
+        n = grid.n_samples
+        reflect, transmit = grating_response(np.fft.rfftfreq(n, d=grid.dt), fbg)
+        band = grating.reflect.size
+        changed = (reflect > 1e-18) | (transmit != 1.0)
+        assert not np.any(changed[band:])
+        assert band == 1 or changed[band - 1]
+        np.testing.assert_array_equal(grating.reflect, reflect[:band])
+        np.testing.assert_array_equal(grating.bite, 1.0 - transmit[:band])
+        # the shortest rows that hold the band
+        length = n // grating.rows
+        assert length * grating.rows == n
+        assert grating.rows == 1 or band <= length // 2
+        assert not any(n % m == 0 for m in range(2 * band, length))
+        assert grating.rows == rows
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("name", list(BAND_GRIDS))
+    def test_band_kernel_matches_complex_fft(self, rng, name, kind):
+        # the polyphase band kernel against a full complex FFT with the
+        # response on every frequency
+        grid, fbg, _ = self.band_grid(name)
+        values = rng.normal(size=grid.n_samples)
+        if kind == "complex":
+            values = values + 1j * rng.normal(size=grid.n_samples)
+        env = SampledEnvelope(grid, values)
+        reflect, transmit = grating_response(grid.frequencies, fbg)
+        for out, response in ((fbg_reflect(env, fbg), reflect),
+                              (fbg_transmit(env, fbg), transmit)):
+            expected = to_time(grid, to_frequency(env) * response).samples
+            # to the input's peak: a mirror transmits, and an open port
+            # reflects, nothing
+            peak = np.max(np.abs(values))
+            assert np.max(np.abs(out.samples - expected)) <= 1e-12 * peak
+        if name == "all_pass":
+            assert not np.any(fbg_reflect(env, fbg).samples)
+            np.testing.assert_array_equal(fbg_transmit(env, fbg).samples, values)
+
+    @pytest.mark.parametrize("name", ["even_polyphase", "odd_polyphase", "one_row"])
+    def test_band_kernel_stages_with_complex_wave(self, rng, name):
+        # a finite transition time makes the modulator waveform complex
+        grid, fbg, _ = self.band_grid(name)
+        code = msequence_code(LfsrSpec(round(math.log2(grid.chips_per_bin + 1))))
+        tau = 0.3 * grid.bin_duration / grid.chips_per_bin
+        wave = modulation_waveform(ModulatorSpec(code, 1.0, tau), grid)
+        assert np.any(wave.imag)
+        env = SampledEnvelope(grid, rng.normal(size=grid.n_samples))
+        reflect, transmit = grating_response(grid.frequencies, fbg)
+
+        def filtered(samples, response):
+            spectrum = to_frequency(SampledEnvelope(grid, samples)) * response
+            return to_time(grid, spectrum).samples
+
+        cases = (
+            (mux_new_path, wave * filtered(env.samples, reflect)),
+            (mux_old_path, wave * filtered(wave * env.samples, transmit)),
+            (demux_drop_path, filtered(wave * env.samples, reflect)),
+        )
+        for path, expected in cases:
+            out = path(env, code, fbg, tau).samples
+            peak = np.max(np.abs(expected))
+            assert np.max(np.abs(out - expected)) <= 1e-12 * peak, path.__name__
 
     def test_perfect_mirror(self, grid31, packet):
         mirror = FbgSpec(sigma_filt=math.inf)
