@@ -64,6 +64,13 @@ _DEFAULT_TRIALS = {"loss": 50, "crosstalk": 32, "fidelity": 64, "trace": 1}
 # through one chain, so it takes one entry of each
 _DEFAULT_GRID = {"trace": ((15,), (5,))}
 _SWEEP_GRID = ((8, 10, 12), (5, 20, 50))
+# bins in one word: a loss probe sends one bit, a fidelity state spans two bins
+_BINS_PER_WORD = {"loss": 1, "fidelity": 2}
+# The largest grid, in samples, a scenario may ask for: 8 times the largest
+# preset's (the n=15 trace: 8 * 32767 * 4, about 2**20 samples, which peaks at
+# about 270 MB resident), so about 2 GB; a larger grid would run out of memory
+# only after the cells before it had run.
+_MAX_GRID_SAMPLES = 2**23
 _METRIC_NAMES = {
     "loss": "loss_probability",
     "crosstalk": "crosstalk_probability",
@@ -133,8 +140,16 @@ class ScenarioConfig:
             raise ValueError(
                 f"samples_per_chip must be >= 2, got {self.samples_per_chip}"
             )
+        spreading = 2 ** max(self.n_registers) - 1  # chips of the longest code
+        largest = self.bins_per_word * spreading * self.samples_per_chip
+        if largest > _MAX_GRID_SAMPLES:
+            raise ValueError(
+                f"grid of {largest} samples ({self.bins_per_word} bins x "
+                f"{spreading} chips x {self.samples_per_chip} samples per chip) "
+                f"exceeds the limit of {_MAX_GRID_SAMPLES}"
+            )
         # one chip of the longest code, at bin_duration = 1; NaN fails too
-        chip = 1 / (2 ** max(self.n_registers) - 1)
+        chip = 1 / spreading
         if not 0 <= self.transition_time < chip:
             raise ValueError(
                 f"transition_time must lie in [0, {chip:.3e}), shorter than one "
@@ -144,6 +159,11 @@ class ScenarioConfig:
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
+
+    @property
+    def bins_per_word(self) -> int:
+        """Bins on every grid of this scenario, one per bit of a word."""
+        return _BINS_PER_WORD.get(self.kind, self.bits_per_user)
 
     @property
     def resolved_trials(self) -> int:
@@ -318,7 +338,6 @@ def _grating(config: ScenarioConfig) -> FbgSpec:
 def _sweep(
     config: ScenarioConfig,
     metric: str,
-    n_bins: int,
     cell: Callable[..., Callable[[np.random.Generator], dict[str, float]]],
 ) -> MetricsReport:
     """Mean and standard error of every (n_registers, users) cell.
@@ -332,7 +351,7 @@ def _sweep(
     for n in config.n_registers:
         spreading = 2**n - 1
         base = msequence_code(LfsrSpec(n))
-        grid = TimeGrid(1.0, spreading, config.samples_per_chip, n_bins=n_bins)
+        grid = TimeGrid(1.0, spreading, config.samples_per_chip, config.bins_per_word)
         for n_users in config.users:
             trial = cell(config, grid, base, n_users)
             per_label: dict[str, list[float]] = {}
@@ -369,7 +388,7 @@ def _loss_cell(
 
 def run_loss(config: ScenarioConfig) -> MetricsReport:
     """Mean loss at the matched receiver, one occupied channel per trial."""
-    return _sweep(config, _METRIC_NAMES["loss"], 1, _loss_cell)
+    return _sweep(config, _METRIC_NAMES["loss"], _loss_cell)
 
 
 def _crosstalk_cell(
@@ -410,7 +429,7 @@ def run_crosstalk(config: ScenarioConfig) -> MetricsReport:
     """Foreign probability collected by one silent receiver per run."""
     metric = _METRIC_NAMES["crosstalk"]
     metric += "_per_bin" if config.crosstalk_per_bin else "_word"
-    return _sweep(config, metric, config.bits_per_user, _crosstalk_cell)
+    return _sweep(config, metric, _crosstalk_cell)
 
 
 def _fidelity_cell(
@@ -443,7 +462,7 @@ def run_fidelity(config: ScenarioConfig) -> MetricsReport:
     all four states through the same arrangement, which keeps the per-state
     means directly comparable.
     """
-    return _sweep(config, _METRIC_NAMES["fidelity"], 2, _fidelity_cell)
+    return _sweep(config, _METRIC_NAMES["fidelity"], _fidelity_cell)
 
 
 def run_trace(config: ScenarioConfig) -> TraceResult:
@@ -456,9 +475,7 @@ def run_trace(config: ScenarioConfig) -> TraceResult:
     (n_users,) = config.users
     spreading = 2**n - 1
     base = msequence_code(LfsrSpec(n))
-    grid = TimeGrid(
-        1.0, spreading, config.samples_per_chip, n_bins=config.bits_per_user
-    )
+    grid = TimeGrid(1.0, spreading, config.samples_per_chip, config.bins_per_word)
     plan = NetworkPlan.fifo(grid, _grating(config), base, n_users, config.transition_time)
     rng = _trial_rng(config, n, n_users, 0)
     bits: dict[int, tuple[int, ...]] = {}

@@ -1,16 +1,17 @@
 """Add-drop chains: who modulates, who filters, and in which order.
 
-A plan is an ordered list of Add/Drop stages on one fibre. Photons never
-interact, so each sender's photon is walked on its own: it enters at its own
-Add, is disturbed by every later Add, and at every later Drop splits into the
-part that receiver collects and the part that passes on. One walk per sender
-therefore serves every receiver; a single (source, receiver) delivery stops
-the walk at that receiver's Drop.
+A plan is every Add on one fibre, in add order, followed by every Drop, in
+drop order; user u modulates with the base code circularly shifted by u.
+Photons never interact, so each sender's photon is walked on its own: it
+enters at its own Add, is disturbed by every later Add, and at every Drop
+splits into the part that receiver collects and the part that passes on.
+One walk per sender therefore serves every receiver; a single (source,
+receiver) delivery stops the walk at that receiver's Drop.
 
 A stage applies one operator again and again: despread with the local code,
 let the grating take its narrowband bite, spread again. Each plan therefore
-builds, on first use, the grating's responses on its grid and every staged
-user's modulator waveform, and every walk through the plan reuses them. A
+builds, on first use, the grating's responses on its grid and every user's
+modulator waveform, and every walk through the plan reuses them. A
 word is a sum of unit packets, one per 1-bit, and its grid has one unit
 packet per bin, so the plan also keeps those packets and every sender's
 word is added up from them.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import cmath
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .signal import (
 )
 
 __all__ = [
-    "Stage",
     "UserChannel",
     "NetworkPlan",
     "PhotonTrace",
@@ -58,19 +58,6 @@ __all__ = [
     "receiver_density",
     "receiver_densities",
 ]
-
-_KINDS = ("add", "drop")
-
-
-@dataclass(frozen=True)
-class Stage:
-    kind: str
-    user_id: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"stage kind must be one of {_KINDS}, got {self.kind!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class UserChannel:
@@ -90,44 +77,45 @@ class UserChannel:
 
 @dataclass(frozen=True, eq=False)
 class NetworkPlan:
-    """Stage order plus the shared hardware description.
+    """Every Add in add_order, then every Drop in drop_order, plus the
+    shared hardware description.
 
-    Every user appearing in the stage list must hold exactly one Add; a Drop
-    is optional but must come after the user's own Add. The codes mapping
-    supplies the modulator code for every staged user.
+    User u modulates with base_code circularly shifted by u, so user ids
+    lie in [1, S) for a code of S chips and no two users share a code. Each
+    user adds at most once and drops at most once, and only a user that
+    adds can drop.
     """
 
     grid: TimeGrid
     fbg: FbgSpec
-    codes: Mapping[int, SpreadingCode]
-    stages: tuple[Stage, ...]
+    base_code: SpreadingCode
+    add_order: tuple[int, ...]
+    drop_order: tuple[int, ...]
     transition_time: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stages", tuple(self.stages))
-        add_seen: dict[int, int] = {}
-        drop_seen: dict[int, int] = {}
-        for pos, stage in enumerate(self.stages):
-            table = add_seen if stage.kind == "add" else drop_seen
-            if stage.user_id in table:
-                raise ValueError(
-                    f"user {stage.user_id} has more than one {stage.kind} stage"
-                )
-            table[stage.user_id] = pos
-        for uid, pos in drop_seen.items():
-            if uid not in add_seen:
-                raise ValueError(f"user {uid} has a Drop stage but no Add stage")
-            if pos < add_seen[uid]:
-                raise ValueError(f"user {uid} drops before its own Add stage")
-        for uid in add_seen:
-            code = self.codes.get(uid)
-            if code is None:
-                raise ValueError(f"no code supplied for staged user {uid}")
-            if len(code) != self.grid.chips_per_bin:
-                raise ValueError(
-                    f"code for user {uid} has {len(code)} chips, grid expects "
-                    f"{self.grid.chips_per_bin}"
-                )
+        for name in ("add_order", "drop_order"):
+            order = tuple(getattr(self, name))
+            object.__setattr__(self, name, order)
+            if len(set(order)) != len(order):
+                raise ValueError(f"{name} names a user more than once: {order}")
+        spreading = len(self.base_code)
+        outside = [u for u in self.add_order if not 1 <= u < spreading]
+        if outside:
+            raise ValueError(
+                f"at most {spreading - 1} users fit one code family: user ids "
+                f"must lie in [1, {spreading}) so that no two share a shift, "
+                f"got {outside}"
+            )
+        adds = set(self.add_order)
+        strays = [u for u in self.drop_order if u not in adds]
+        if strays:
+            raise ValueError(f"users {strays} have a Drop stage but no Add stage")
+        if spreading != self.grid.chips_per_bin:
+            raise ValueError(
+                f"base code has {spreading} chips, grid expects "
+                f"{self.grid.chips_per_bin}"
+            )
 
     @classmethod
     def from_orders(
@@ -139,28 +127,8 @@ class NetworkPlan:
         drop_order: Sequence[int],
         transition_time: float = 0.0,
     ) -> "NetworkPlan":
-        """All Adds in add_order followed by all Drops in drop_order.
-
-        User i modulates with the base code circularly shifted by i, so at
-        most len(base_code) - 1 users fit one code family.
-        """
-        users = sorted(set(add_order) | set(drop_order))
-        if len(users) >= len(base_code):
-            raise ValueError(
-                f"at most {len(base_code) - 1} users fit one code family, "
-                f"got {len(users)}"
-            )
-        codes = {uid: shift_code(base_code, uid) for uid in users}
-        stages = tuple(Stage("add", uid) for uid in add_order) + tuple(
-            Stage("drop", uid) for uid in drop_order
-        )
-        return cls(
-            grid=grid,
-            fbg=fbg,
-            codes=codes,
-            stages=stages,
-            transition_time=transition_time,
-        )
+        """All Adds in add_order followed by all Drops in drop_order."""
+        return cls(grid, fbg, base_code, add_order, drop_order, transition_time)
 
     @classmethod
     def fifo(
@@ -177,9 +145,10 @@ class NetworkPlan:
         order = list(range(1, n_users + 1))
         return cls.from_orders(grid, fbg, base_code, order, order, transition_time)
 
-    @property
-    def receivers(self) -> tuple[int, ...]:
-        return tuple(s.user_id for s in self.stages if s.kind == "drop")
+    @functools.cached_property
+    def codes(self) -> dict[int, SpreadingCode]:
+        """Every user's code, the base code shifted by the user id."""
+        return {u: shift_code(self.base_code, u) for u in self.add_order}
 
     @functools.cached_property
     def grating(self) -> Grating:
@@ -188,15 +157,14 @@ class NetworkPlan:
 
     @functools.cached_property
     def waveforms(self) -> dict[int, np.ndarray]:
-        """Every staged user's modulator waveform, built on first use."""
-        waveforms = {}
-        for stage in self.stages:
-            if stage.kind == "add":
-                spec = ModulatorSpec(
-                    self.codes[stage.user_id], self.grid.bin_duration, self.transition_time
-                )
-                waveforms[stage.user_id] = modulation_waveform(spec, self.grid)
-        return waveforms
+        """Every user's modulator waveform, built on first use."""
+        return {
+            u: modulation_waveform(
+                ModulatorSpec(code, self.grid.bin_duration, self.transition_time),
+                self.grid,
+            )
+            for u, code in self.codes.items()
+        }
 
     @functools.cached_property
     def packets(self) -> np.ndarray:
@@ -250,32 +218,30 @@ def _walk(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Walk one input amplitude from the source's Add down the chain.
 
-    Yields (receiver_id, delivered samples) at every Drop after the source's
-    Add, in chain order; Drops ahead of that Add never see the photon. At a
-    Drop both output ports branch off one forward transform, and the through
-    port is computed only when the walk is resumed and a later Drop remains.
+    Yields (receiver_id, delivered samples) at every Drop, in drop order.
+    At a Drop both output ports branch off one forward transform, and the
+    through port is computed only when the walk is resumed and a later Drop
+    remains.
     """
+    if not plan.drop_order:
+        return
     grating = plan.grating
     waveforms = plan.waveforms
-    stages = plan.stages
-    start = stages.index(Stage("add", source_id))
-    last_drop = max((i for i, s in enumerate(stages) if s.kind == "drop"), default=-1)
-    if last_drop < start:
-        return
     samples = insert(samples, waveforms[source_id], grating)
-    for pos in range(start + 1, last_drop + 1):
-        stage = stages[pos]
-        wave = waveforms[stage.user_id]
+    for user in plan.add_order[plan.add_order.index(source_id) + 1 :]:
+        wave = waveforms[user]
         light, spectrum = despread(samples, wave, grating)
-        if stage.kind == "drop":
-            yield stage.user_id, drop_branch(spectrum, grating)
-            if pos == last_drop:
-                return
         samples = through_branch(light, spectrum, wave, grating)
+    for user in plan.drop_order:
+        wave = waveforms[user]
+        light, spectrum = despread(samples, wave, grating)
+        yield user, drop_branch(spectrum, grating)
+        if user != plan.drop_order[-1]:
+            samples = through_branch(light, spectrum, wave, grating)
 
 
 def _check_source(source_id: int, plan: NetworkPlan) -> None:
-    if Stage("add", source_id) not in plan.stages:
+    if source_id not in plan.add_order:
         raise ValueError(f"source user {source_id} has no Add stage in the plan")
 
 
@@ -287,18 +253,14 @@ def propagate_envelope(
 ) -> SampledEnvelope:
     """Walk an arbitrary input amplitude through the chain.
 
-    Stages ahead of the source's own Add cannot touch the photon and are
-    skipped. If the target Drop precedes the source Add the delivered
-    amplitude is identically zero.
+    Adds ahead of the source's own Add cannot touch the photon and are
+    skipped.
     """
     if env.grid != plan.grid:
         raise ValueError("envelope grid does not match the plan grid")
     _check_source(source_id, plan)
-    if receiver_id not in plan.receivers:
+    if receiver_id not in plan.drop_order:
         raise ValueError(f"receiver {receiver_id} has no Drop stage in the plan")
-    stages = plan.stages
-    if stages.index(Stage("drop", receiver_id)) < stages.index(Stage("add", source_id)):
-        return zero_envelope(plan.grid)  # dropped before insertion
     walk = _walk(env.samples, source_id, plan)
     delivered = next(d for r, d in walk if r == receiver_id)
     return SampledEnvelope(plan.grid, delivered)
@@ -365,7 +327,7 @@ def receiver_densities(
     channel order, as :func:`receiver_density` adds them for one receiver.
     The launch phase cannot change a density, so it is not applied.
     """
-    densities = {r: np.zeros(plan.grid.n_samples) for r in plan.receivers}
+    densities = {r: np.zeros(plan.grid.n_samples) for r in plan.drop_order}
     for channel in channels:
         _check_channel(channel, plan)
         _check_source(channel.user_id, plan)

@@ -183,8 +183,9 @@ class TestSimulateCommand:
         [
             (["--transition-time", "nan"], "transition_time"),
             (["--seed", "-1"], "rng_seed"),
+            (["--samples-per-chip", "100000000"], "grid of 3100000000 samples"),
         ],
-        ids=["nan_transition", "negative_seed"],
+        ids=["nan_transition", "negative_seed", "huge_grid"],
     )
     def test_bad_value_rejected_before_any_cell(self, capsys, monkeypatch, extra, field):
         def refuse(config):

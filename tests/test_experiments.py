@@ -97,6 +97,34 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(kind="loss", **{field: value})
 
+    @pytest.mark.parametrize(
+        "kind, extra, bins",
+        [
+            ("loss", {}, 1),
+            ("fidelity", {}, 2),
+            ("crosstalk", {"bits_per_user": 6}, 6),
+            ("trace", {"bits_per_user": 3}, 3),
+        ],
+    )
+    def test_bins_per_word_per_kind(self, kind, extra, bins):
+        assert ScenarioConfig(kind=kind, **extra).bins_per_word == bins
+
+    @pytest.mark.parametrize(
+        "kind, largest_ok",
+        [
+            # 2**23 samples over the n=15 code's 32767 chips
+            ("loss", {"samples_per_chip": 256}),
+            ("fidelity", {"samples_per_chip": 128}),
+            ("crosstalk", {"bits_per_user": 64}),
+            ("trace", {"bits_per_user": 64}),
+        ],
+    )
+    def test_grid_size_bounded(self, kind, largest_ok):
+        ScenarioConfig(kind=kind, n_registers=(15,), users=(5,), **largest_ok)
+        ((field, value),) = largest_ok.items()
+        with pytest.raises(ValueError, match="grid of .* samples"):
+            ScenarioConfig(kind=kind, n_registers=(15,), users=(5,), **{field: value + 1})
+
     def test_default_trials_per_kind(self):
         assert ScenarioConfig(kind="loss").resolved_trials == 50
         assert ScenarioConfig(kind="crosstalk").resolved_trials == 32

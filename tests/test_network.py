@@ -1,5 +1,6 @@
 """Chain construction, validation, photon walks and receiver densities."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from spreadmux.codes import LfsrSpec, msequence_code, shift_code
 from spreadmux.network import (
     NetworkPlan,
     PhotonTrace,
-    Stage,
     UserChannel,
     channel_envelope,
     propagate_envelope,
@@ -41,12 +41,6 @@ def plan3(grid31, fbg, code5) -> NetworkPlan:
     return NetworkPlan.fifo(grid31, fbg, code5, n_users=3)
 
 
-class TestStage:
-    def test_kind_checked(self):
-        with pytest.raises(ValueError, match="kind"):
-            Stage("insert", 1)
-
-
 class TestUserChannel:
     def test_bits_normalised(self, code5):
         ch = UserChannel(1, code5, (True, 0, 1))
@@ -58,13 +52,15 @@ class TestUserChannel:
 
 
 class TestNetworkPlan:
-    def test_fifo_layout(self, plan3):
-        kinds = [(s.kind, s.user_id) for s in plan3.stages]
-        assert kinds == [
-            ("add", 1), ("add", 2), ("add", 3),
-            ("drop", 1), ("drop", 2), ("drop", 3),
+    def test_fields_are_the_two_orders_and_the_hardware(self):
+        names = [f.name for f in dataclasses.fields(NetworkPlan)]
+        assert names == [
+            "grid", "fbg", "base_code", "add_order", "drop_order", "transition_time",
         ]
-        assert plan3.receivers == (1, 2, 3)
+
+    def test_fifo_layout(self, plan3):
+        assert plan3.add_order == (1, 2, 3)
+        assert plan3.drop_order == (1, 2, 3)
 
     def test_fifo_assigns_shifted_codes(self, plan3, code5):
         for uid in (1, 2, 3):
@@ -84,33 +80,36 @@ class TestNetworkPlan:
         with pytest.raises(ValueError, match="at most 30 users"):
             NetworkPlan.from_orders(grid31, fbg, code5, users, users[::-1])
 
+    @pytest.mark.parametrize("users", [[1, 32], [0, 1], [-1, 2]])
+    def test_user_ids_sharing_a_code_rejected(self, grid31, fbg, code5, users):
+        # shifts repeat every S = 31 chips: 32 is user 1's code, -1 user 30's
+        with pytest.raises(ValueError, match=r"must lie in \[1, 31\)"):
+            NetworkPlan.from_orders(grid31, fbg, code5, users, users)
+
     def test_from_orders_custom_drop_order(self, grid31, fbg, code5):
         plan = NetworkPlan.from_orders(grid31, fbg, code5, [1, 2, 3], [2, 1, 3])
-        assert plan.receivers == (2, 1, 3)
+        assert plan.drop_order == (2, 1, 3)
+
+    def test_orders_become_tuples(self, grid31, fbg, code5):
+        plan = NetworkPlan.from_orders(grid31, fbg, code5, iter([2, 1]), [1])
+        assert plan.add_order == (2, 1) and plan.drop_order == (1,)
 
     def test_duplicate_add_rejected(self, grid31, fbg, code5):
-        stages = (Stage("add", 1), Stage("add", 1))
-        with pytest.raises(ValueError, match="more than one"):
-            NetworkPlan(grid31, fbg, {1: code5}, stages)
+        with pytest.raises(ValueError, match="add_order names a user more than once"):
+            NetworkPlan.from_orders(grid31, fbg, code5, [1, 1], [1])
+
+    def test_duplicate_drop_rejected(self, grid31, fbg, code5):
+        with pytest.raises(ValueError, match="drop_order names a user more than once"):
+            NetworkPlan.from_orders(grid31, fbg, code5, [1, 2], [2, 2])
 
     def test_drop_without_add_rejected(self, grid31, fbg, code5):
-        stages = (Stage("add", 1), Stage("drop", 2))
         with pytest.raises(ValueError, match="no Add"):
-            NetworkPlan(grid31, fbg, {1: code5, 2: code5}, stages)
-
-    def test_drop_before_own_add_rejected(self, grid31, fbg, code5):
-        stages = (Stage("drop", 1), Stage("add", 1))
-        with pytest.raises(ValueError, match="before its own Add"):
-            NetworkPlan(grid31, fbg, {1: code5}, stages)
-
-    def test_missing_code_rejected(self, grid31, fbg, code5):
-        with pytest.raises(ValueError, match="no code"):
-            NetworkPlan(grid31, fbg, {}, (Stage("add", 1),))
+            NetworkPlan.from_orders(grid31, fbg, code5, [1], [2])
 
     def test_code_length_must_match_grid(self, grid31, fbg):
         short = msequence_code(LfsrSpec(4))
         with pytest.raises(ValueError, match="chips"):
-            NetworkPlan(grid31, fbg, {1: short}, (Stage("add", 1),))
+            NetworkPlan.from_orders(grid31, fbg, short, [1], [1])
 
 
 class TestChannelEnvelope:
@@ -182,17 +181,6 @@ class TestPropagation:
         with pytest.raises(ValueError, match="grid"):
             propagate_envelope(env, 1, 1, plan3)
 
-    def test_drop_ahead_of_add_delivers_nothing(self, grid31, fbg, code5):
-        # interleaved chain: receiver 1 extracts before user 2 has inserted
-        codes = {1: shift_code(code5, 1), 2: shift_code(code5, 2)}
-        stages = (
-            Stage("add", 1), Stage("drop", 1), Stage("add", 2), Stage("drop", 2),
-        )
-        plan = NetworkPlan(grid31, fbg, codes, stages)
-        env = gaussian_packet(grid31, PacketSpec())
-        delivered = propagate_envelope(env, 2, 1, plan)
-        assert norm_sq(delivered) == 0.0
-
     def test_matched_beats_foreign_delivery(self, fbg):
         # needs a realistic spreading factor for a crisp contrast
         from spreadmux.signal import TimeGrid
@@ -252,6 +240,11 @@ class TestPropagateAllAndDensity:
         with pytest.raises(ValueError, match="grids"):
             receiver_density([a, b])
 
+    def test_plan_without_drops_reaches_no_receiver(self, grid31, fbg, code5):
+        plan = NetworkPlan.from_orders(grid31, fbg, code5, [1, 2], [])
+        channel = UserChannel(1, plan.codes[1], (1,))
+        assert receiver_densities([channel], plan) == {}
+
     def test_density_needs_traces(self):
         with pytest.raises(ValueError, match="at least one"):
             receiver_density([])
@@ -259,30 +252,26 @@ class TestPropagateAllAndDensity:
 
 def composed_walk(env, source_id, receiver_id, plan):
     """The chain spelled out stage by stage with the public per-stage
-    functions, which always work on complex amplitudes."""
+    functions, which always work on complex amplitudes: every Add in add
+    order, then every Drop in drop order."""
     tau, fbg = plan.transition_time, plan.fbg
     inserted = False
-    for stage in plan.stages:
-        code = plan.codes[stage.user_id]
-        if not inserted:
-            if stage == Stage("drop", receiver_id):
-                return np.zeros(plan.grid.n_samples, dtype=np.complex128)
-            if stage == Stage("add", source_id):
-                env = mux_new_path(env, code, fbg, tau)
-                inserted = True
-            continue
-        if stage.kind == "add":
-            env = mux_old_path(env, code, fbg, tau)
-        elif stage.user_id == receiver_id:
-            return demux_drop_path(env, code, fbg, tau).samples
-        else:
-            env = demux_through_path(env, code, fbg, tau)
+    for user in plan.add_order:
+        if user == source_id:
+            env = mux_new_path(env, plan.codes[user], fbg, tau)
+            inserted = True
+        elif inserted:
+            env = mux_old_path(env, plan.codes[user], fbg, tau)
+    for user in plan.drop_order:
+        if user == receiver_id:
+            return demux_drop_path(env, plan.codes[user], fbg, tau).samples
+        env = demux_through_path(env, plan.codes[user], fbg, tau)
     raise AssertionError("receiver never reached")
 
 
 def assert_walk_matches_composition(env, plan):
-    for source in plan.codes:
-        for receiver in plan.receivers:
+    for source in plan.add_order:
+        for receiver in plan.drop_order:
             walked = propagate_envelope(env, source, receiver, plan).samples
             expected = composed_walk(env, source, receiver, plan)
             peak = np.max(np.abs(expected))
@@ -290,14 +279,11 @@ def assert_walk_matches_composition(env, plan):
 
 
 def interleaved_plan(grid, fbg, code, transition_time=0.0):
-    # the drop order differs from the add order, and user 4 adds after
-    # receiver 2 has dropped, so some pairs deliver nothing
-    codes = {uid: shift_code(code, uid) for uid in (1, 2, 3, 4)}
-    stages = (
-        Stage("add", 1), Stage("add", 2), Stage("add", 3), Stage("drop", 2),
-        Stage("add", 4), Stage("drop", 3), Stage("drop", 1), Stage("drop", 4),
+    # the drop order differs from the add order, so a receiver can sit
+    # ahead of or behind the senders it hears in the drop chain
+    return NetworkPlan.from_orders(
+        grid, fbg, code, [1, 2, 3, 4], [2, 3, 1, 4], transition_time
     )
-    return NetworkPlan(grid, fbg, codes, stages, transition_time)
 
 
 class TestWalkAgainstStageComposition:
@@ -335,8 +321,8 @@ class TestWalkAgainstStageComposition:
             UserChannel(4, plan.codes[4], (1, 0)),
         ]
         densities = receiver_densities(channels, plan)
-        assert set(densities) == set(plan.receivers)
-        for receiver in plan.receivers:
+        assert set(densities) == set(plan.drop_order)
+        for receiver in plan.drop_order:
             expected = receiver_density(
                 [propagate_photon(ch, receiver, plan) for ch in channels]
             )
@@ -350,7 +336,7 @@ class TestWalkAgainstStageComposition:
         plan = NetworkPlan.fifo(
             result.grid, FbgSpec(DEFAULT_SIGMA_FILT), msequence_code(LfsrSpec(5)), 3
         )
-        for receiver in plan.receivers:
+        for receiver in plan.drop_order:
             expected = receiver_density(
                 [
                     propagate_photon(UserChannel(u, plan.codes[u], result.bits[u]),
