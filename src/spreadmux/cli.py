@@ -234,6 +234,12 @@ def _validate_family(n: int) -> list[str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.min_registers > args.max_registers:
+        raise CliError(
+            "config",
+            f"--min-registers {args.min_registers} exceeds --max-registers "
+            f"{args.max_registers}, so there is nothing to validate",
+        )
     counts = range(args.min_registers, args.max_registers + 1)
     unsupported = [n for n in counts if n not in DEFAULT_TAPS]
     if unsupported:

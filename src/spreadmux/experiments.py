@@ -41,10 +41,6 @@ __all__ = [
     "ReportCell",
     "MetricsReport",
     "TraceResult",
-    "loss_config",
-    "crosstalk_config",
-    "fidelity_config",
-    "trace_config",
     "REPRODUCTION_SETTINGS",
     "reproduction_config",
     "run_loss",
@@ -71,6 +67,14 @@ _BINS_PER_WORD = {"loss": 1, "fidelity": 2}
 # about 270 MB resident), so about 2 GB; a larger grid would run out of memory
 # only after the cells before it had run.
 _MAX_GRID_SAMPLES = 2**23
+# The most samples a plan may keep: it caches one grid-length row per user
+# (its modulator waveform) and one per bin (its unit packet), and the grid
+# bound above does not see how many rows there are. 2**26 float64 samples is
+# 512 MiB (1 GiB once a finite transition_time makes the waveforms complex),
+# about twice the largest preset's 58 rows of 524 256 samples (the --full
+# crosstalk cell at n=14 with 50 users); a larger plan would run out of
+# memory only after the cells before it had run.
+_MAX_PLAN_SAMPLES = 2**26
 _METRIC_NAMES = {
     "loss": "loss_probability",
     "crosstalk": "crosstalk_probability",
@@ -148,6 +152,13 @@ class ScenarioConfig:
                 f"{spreading} chips x {self.samples_per_chip} samples per chip) "
                 f"exceeds the limit of {_MAX_GRID_SAMPLES}"
             )
+        rows = max(self.users) + self.bins_per_word
+        if rows * largest > _MAX_PLAN_SAMPLES:
+            raise ValueError(
+                f"plan of {rows * largest} samples ({max(self.users)} waveform "
+                f"and {self.bins_per_word} packet rows of {largest} samples) "
+                f"exceeds the limit of {_MAX_PLAN_SAMPLES}"
+            )
         # one chip of the longest code, at bin_duration = 1; NaN fails too
         chip = 1 / spreading
         if not 0 <= self.transition_time < chip:
@@ -203,23 +214,6 @@ def _integer_tuple(name: str, value) -> tuple[int, ...]:
         if isinstance(v, bool) or not whole:
             raise problem
     return tuple(int(v) for v in entries)
-
-
-def loss_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(kind="loss", **overrides)
-
-
-def crosstalk_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(kind="crosstalk", **overrides)
-
-
-def fidelity_config(**overrides) -> ScenarioConfig:
-    overrides.setdefault("n_registers", (10,))
-    return ScenarioConfig(kind="fidelity", **overrides)
-
-
-def trace_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(kind="trace", **overrides)
 
 
 # conventions pinned by the published-table calibration, see README

@@ -8,14 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .network import PhotonTrace
-from .signal import (
-    PacketSpec,
-    SampledEnvelope,
-    TimeGrid,
-    gaussian_packet,
-    inner_product,
-    norm_sq,
-)
+from .signal import SampledEnvelope, TimeGrid, gaussian_packet, inner_product, norm_sq
 
 __all__ = [
     "COW_LABELS",
@@ -102,8 +95,8 @@ def cow_state(grid: TimeGrid, label: str, first_bin: int = 0) -> CowState:
         raise ValueError(f"label must be one of {COW_LABELS}, got {label!r}")
     if not 0 <= first_bin <= grid.n_bins - 2:
         raise ValueError("cow_state needs two adjacent bins inside the grid")
-    early = gaussian_packet(grid, PacketSpec(bin_index=first_bin))
-    late = gaussian_packet(grid, PacketSpec(bin_index=first_bin + 1))
+    early = gaussian_packet(grid, first_bin)
+    late = gaussian_packet(grid, first_bin + 1)
     if label == "one":
         env = early
     elif label == "zero":

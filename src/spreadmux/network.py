@@ -33,26 +33,18 @@ from .codes import SpreadingCode, shift_code
 from .optics import (
     FbgSpec,
     Grating,
-    ModulatorSpec,
     despread,
     drop_branch,
     insert,
     modulation_waveform,
     through_branch,
 )
-from .signal import (
-    PacketSpec,
-    SampledEnvelope,
-    TimeGrid,
-    gaussian_packet,
-    zero_envelope,
-)
+from .signal import SampledEnvelope, TimeGrid, gaussian_packet
 
 __all__ = [
     "UserChannel",
     "NetworkPlan",
     "PhotonTrace",
-    "channel_envelope",
     "propagate_envelope",
     "propagate_photon",
     "receiver_density",
@@ -159,10 +151,7 @@ class NetworkPlan:
     def waveforms(self) -> dict[int, np.ndarray]:
         """Every user's modulator waveform, built on first use."""
         return {
-            u: modulation_waveform(
-                ModulatorSpec(code, self.grid.bin_duration, self.transition_time),
-                self.grid,
-            )
+            u: modulation_waveform(code, self.grid, self.transition_time)
             for u, code in self.codes.items()
         }
 
@@ -172,14 +161,16 @@ class NetworkPlan:
         on first use."""
         table = np.empty((self.grid.n_bins, self.grid.n_samples))
         for k in range(self.grid.n_bins):
-            table[k] = gaussian_packet(self.grid, PacketSpec(bin_index=k)).samples.real
+            table[k] = gaussian_packet(self.grid, k).samples.real
         return table
 
     def word(self, bits: Sequence[int]) -> np.ndarray:
         """Phase-0 amplitude of a word, all real: zeros plus the unit packet
-        of every 1-bit, added in bit order as :func:`channel_envelope` adds
-        them."""
-        _check_word_length(bits, self.grid)
+        of every 1-bit, added in bit order."""
+        if len(bits) != self.grid.n_bins:
+            raise ValueError(
+                f"channel sends {len(bits)} bits but grid has {self.grid.n_bins} bins"
+            )
         word = np.zeros(self.grid.n_samples)
         for idx, bit in enumerate(bits):
             if bit:
@@ -194,23 +185,6 @@ class PhotonTrace:
     source_id: int
     receiver_id: int
     envelope: SampledEnvelope
-
-
-def _check_word_length(bits: Sequence[int], grid: TimeGrid) -> None:
-    if len(bits) != grid.n_bins:
-        raise ValueError(
-            f"channel sends {len(bits)} bits but grid has {grid.n_bins} bins"
-        )
-
-
-def channel_envelope(channel: UserChannel, grid: TimeGrid) -> SampledEnvelope:
-    """Initial amplitude: one unit Gaussian packet per 1-bit, common phase."""
-    _check_word_length(channel.bits, grid)
-    env = zero_envelope(grid)
-    for idx, bit in enumerate(channel.bits):
-        if bit:
-            env = env + gaussian_packet(grid, PacketSpec(bin_index=idx))
-    return env * cmath.exp(1j * channel.global_phase)
 
 
 def _walk(

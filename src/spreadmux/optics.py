@@ -38,7 +38,6 @@ from .codes import SpreadingCode
 from .signal import SampledEnvelope, TimeGrid
 
 __all__ = [
-    "ModulatorSpec",
     "FbgSpec",
     "Grating",
     "modulation_waveform",
@@ -57,51 +56,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ModulatorSpec:
-    """Phase modulator driven by one spreading code.
+def modulation_waveform(
+    code: SpreadingCode, grid: TimeGrid, transition_time: float = 0.0
+) -> np.ndarray:
+    """Sampled m(t) of the phase modulator driven by ``code`` on one grid.
 
-    transition_time is the duration of the raised-cosine phase ramp centred
-    on each chip boundary; 0 means ideal instantaneous switching, and the
-    ramp must fit inside a chip (transition_time < bin_duration / S). The
-    drive takes the phases (0, pi) for the chips (+1, -1).
+    The drive takes the phases (0, pi) for the chips (+1, -1). With
+    transition_time = 0 the waveform takes the chip values exactly, so a
+    same-code double pass is an exact identity: a real (float64) +-1 train.
+    A finite transition_time is the duration of the raised-cosine phase ramp
+    centred on each chip boundary; it must fit inside a chip
+    (transition_time < bin_duration / S), and |m| stays 1.
     """
-
-    code: SpreadingCode
-    bin_duration: float
-    transition_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.bin_duration > 0:
-            raise ValueError(f"bin_duration must be positive, got {self.bin_duration}")
-        chip = self.bin_duration / len(self.code)
-        if not 0.0 <= self.transition_time < chip:
-            raise ValueError(
-                f"transition_time must lie in [0, {chip:.3e}) to fit inside "
-                f"one chip, got {self.transition_time}"
-            )
-
-
-def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
-    """Sampled m(t) for one modulator on one grid.
-
-    With transition_time = 0 the waveform takes the chip values exactly, so
-    a same-code double pass is an exact identity: a real (float64) +-1
-    train. With a finite transition time the phase follows a raised-cosine
-    ramp through each chip boundary and |m| stays 1.
-    """
-    if len(spec.code) != grid.chips_per_bin:
+    if len(code) != grid.chips_per_bin:
         raise ValueError(
-            f"code length {len(spec.code)} does not match grid chips_per_bin "
+            f"code length {len(code)} does not match grid chips_per_bin "
             f"{grid.chips_per_bin}"
         )
-    if spec.bin_duration != grid.bin_duration:
-        raise ValueError("modulator and grid disagree on bin_duration")
+    chip = grid.bin_duration / len(code)
+    if not 0.0 <= transition_time < chip:
+        raise ValueError(
+            f"transition_time must lie in [0, {chip:.3e}) to fit inside "
+            f"one chip, got {transition_time}"
+        )
 
     q = grid.samples_per_chip
-    chips_full = np.tile(spec.code.chips, grid.n_bins).astype(np.float64)
+    chips_full = np.tile(code.chips, grid.n_bins).astype(np.float64)
     base = np.repeat(chips_full, q)
-    tau = spec.transition_time
+    tau = transition_time
     if tau == 0.0:
         return base
 
@@ -126,9 +108,12 @@ def modulation_waveform(spec: ModulatorSpec, grid: TimeGrid) -> np.ndarray:
     return wave
 
 
-def modulate(env: SampledEnvelope, spec: ModulatorSpec) -> SampledEnvelope:
+def modulate(
+    env: SampledEnvelope, code: SpreadingCode, transition_time: float = 0.0
+) -> SampledEnvelope:
     """Apply the code waveform pointwise. Exactly norm preserving."""
-    return SampledEnvelope(env.grid, env.samples * modulation_waveform(spec, env.grid))
+    wave = modulation_waveform(code, env.grid, transition_time)
+    return SampledEnvelope(env.grid, env.samples * wave)
 
 
 @dataclass(frozen=True)
@@ -303,12 +288,8 @@ def fbg_transmit(env: SampledEnvelope, fbg: FbgSpec) -> SampledEnvelope:
 def _stage_operators(
     env: SampledEnvelope, code: SpreadingCode, fbg: FbgSpec, transition_time: float
 ) -> tuple[np.ndarray, Grating]:
-    spec = ModulatorSpec(
-        code=code,
-        bin_duration=env.grid.bin_duration,
-        transition_time=transition_time,
-    )
-    return modulation_waveform(spec, env.grid), Grating.on_grid(env.grid, fbg)
+    wave = modulation_waveform(code, env.grid, transition_time)
+    return wave, Grating.on_grid(env.grid, fbg)
 
 
 def mux_new_path(

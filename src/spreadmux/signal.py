@@ -16,13 +16,11 @@ import numpy as np
 __all__ = [
     "TimeGrid",
     "SampledEnvelope",
-    "PacketSpec",
     "DEFAULT_SIGMA_FACTOR",
     "zero_envelope",
     "gaussian_packet",
     "inner_product",
     "norm_sq",
-    "integrate_window",
     "to_frequency",
     "to_time",
     "spectral_norm_sq",
@@ -144,57 +142,32 @@ class SampledEnvelope:
         return np.abs(self.samples) ** 2
 
 
-# default packet width: the amplitude profile exp(-t^2 / (4 sigma^2)) has
-# standard deviation sigma * sqrt(2), so this sigma makes the wavefunction a
-# Gaussian of standard deviation 0.1 * bin_duration
+# packet width: the amplitude profile exp(-t^2 / (4 sigma^2)) has standard
+# deviation sigma * sqrt(2), so sigma = DEFAULT_SIGMA_FACTOR * bin_duration
+# makes the wavefunction a Gaussian of standard deviation 0.1 * bin_duration
 DEFAULT_SIGMA_FACTOR = 0.1 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PacketSpec:
-    """Description of a single Gaussian packet.
-
-    sigma is the standard deviation of |psi|^2. Left as None it defaults to
-    DEFAULT_SIGMA_FACTOR * bin_duration, which puts the standard deviation of
-    the amplitude profile itself at one tenth of the bin; every built-in
-    scenario uses that width.
-    """
-
-    bin_index: int = 0
-    sigma: float | None = None
-    global_phase: float = 0.0
-    amplitude: float = 1.0
 
 
 def zero_envelope(grid: TimeGrid) -> SampledEnvelope:
     return SampledEnvelope(grid, np.zeros(grid.n_samples, dtype=np.complex128))
 
 
-def gaussian_packet(grid: TimeGrid, spec: PacketSpec) -> SampledEnvelope:
-    """Sample a Gaussian packet centred in the requested bin.
+def gaussian_packet(grid: TimeGrid, bin_index: int = 0) -> SampledEnvelope:
+    """Sample the unit Gaussian packet centred in the requested bin.
 
     The envelope is exp(-(t - t_c)^2 / (4 sigma^2)), so |psi|^2 is Gaussian
-    with standard deviation sigma. After sampling, the amplitude is rescaled
-    so that norm_sq equals amplitude**2 exactly; truncation of the far tails
-    is absorbed by that normalisation.
+    with standard deviation sigma = DEFAULT_SIGMA_FACTOR * bin_duration, the
+    one width every scenario uses. After sampling, the packet is rescaled so
+    that norm_sq equals 1 exactly; truncation of the far tails is absorbed by
+    that normalisation. The phase is 0: a phase or a scale is a product,
+    ``gaussian_packet(grid, k) * factor``.
     """
-    if not 0 <= spec.bin_index < grid.n_bins:
-        raise ValueError(
-            f"bin_index {spec.bin_index} outside grid with {grid.n_bins} bins"
-        )
-    sigma = (
-        DEFAULT_SIGMA_FACTOR * grid.bin_duration if spec.sigma is None else spec.sigma
-    )
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if spec.amplitude == 0:
-        return zero_envelope(grid)
-    centre = (spec.bin_index + 0.5) * grid.bin_duration
-    t = grid.times
-    raw = np.exp(-((t - centre) ** 2) / (4.0 * sigma**2))
-    scale = spec.amplitude / np.sqrt(np.sum(raw**2) * grid.dt)
-    samples = raw * (scale * np.exp(1j * spec.global_phase))
-    return SampledEnvelope(grid, samples)
+    if not 0 <= bin_index < grid.n_bins:
+        raise ValueError(f"bin_index {bin_index} outside grid with {grid.n_bins} bins")
+    sigma = DEFAULT_SIGMA_FACTOR * grid.bin_duration
+    centre = (bin_index + 0.5) * grid.bin_duration
+    raw = np.exp(-((grid.times - centre) ** 2) / (4.0 * sigma**2))
+    return SampledEnvelope(grid, raw * (1.0 / np.sqrt(np.sum(raw**2) * grid.dt)))
 
 
 def inner_product(a: SampledEnvelope, b: SampledEnvelope) -> complex:
@@ -207,15 +180,6 @@ def inner_product(a: SampledEnvelope, b: SampledEnvelope) -> complex:
 def norm_sq(env: SampledEnvelope) -> float:
     """Total probability sum(|psi|^2) * dt carried by the envelope."""
     return float(np.sum(np.abs(env.samples) ** 2) * env.grid.dt)
-
-
-def integrate_window(env: SampledEnvelope, t_start: float, t_stop: float) -> float:
-    """Integrate |psi|^2 over samples with t_start <= t < t_stop."""
-    if t_stop < t_start:
-        raise ValueError("t_stop must not precede t_start")
-    t = env.grid.times
-    mask = (t >= t_start) & (t < t_stop)
-    return float(np.sum(np.abs(env.samples[mask]) ** 2) * env.grid.dt)
 
 
 def to_frequency(env: SampledEnvelope) -> np.ndarray:

@@ -25,18 +25,15 @@ from spreadmux.codes import (
     shift_code,
 )
 from spreadmux.experiments import (
-    crosstalk_config,
-    loss_config,
+    ScenarioConfig,
     reproduction_config,
     run_experiment,
     run_trace,
-    trace_config,
 )
 from spreadmux.metrics import COW_LABELS, fidelity, ideal_loss_bound
-from spreadmux.network import NetworkPlan, UserChannel, channel_envelope, propagate_photon
-from spreadmux.optics import FbgSpec, ModulatorSpec, grating_response, modulate, mux_old_path
+from spreadmux.network import NetworkPlan, UserChannel, propagate_photon
+from spreadmux.optics import FbgSpec, grating_response, modulate, mux_old_path
 from spreadmux.signal import (
-    PacketSpec,
     SampledEnvelope,
     TimeGrid,
     gaussian_packet,
@@ -144,18 +141,20 @@ def infidelity_report():
 
 @pytest.fixture(scope="module")
 def long_code_trace():
-    return run_trace(trace_config())
+    return run_trace(ScenarioConfig(kind="trace"))
 
 
 @pytest.fixture(scope="module")
 def short_code_trace():
-    return run_trace(trace_config(n_registers=(8,)))
+    return run_trace(ScenarioConfig(kind="trace", n_registers=(8,)))
 
 
 @pytest.fixture(scope="module")
 def bound_report():
     return run_experiment(
-        loss_config(n_registers=(12, 13, 14, 15), users=(5,), trials=16)
+        ScenarioConfig(
+            kind="loss", n_registers=(12, 13, 14, 15), users=(5,), trials=16
+        )
     )
 
 
@@ -167,9 +166,9 @@ class TestExactInvariants:
         rng = np.random.default_rng(42)
         values = rng.normal(size=grid.n_samples) + 1j * rng.normal(size=grid.n_samples)
         env = SampledEnvelope(grid, values)
-        spec = ModulatorSpec(shift_code(msequence_code(LfsrSpec(5)), 3), 1.0)
-        once = modulate(env, spec)
-        twice = modulate(once, spec)
+        code = shift_code(msequence_code(LfsrSpec(5)), 3)
+        once = modulate(env, code)
+        twice = modulate(once, code)
         assert norm_sq(once) == pytest.approx(norm_sq(env), rel=1e-12)
         assert np.max(np.abs(twice.samples - env.samples)) <= 1e-12
 
@@ -185,7 +184,7 @@ class TestExactInvariants:
 
     def test_fourier_roundtrip_and_parseval(self):
         grid = TimeGrid(1.0, 31, 4)
-        packet = gaussian_packet(grid, PacketSpec(0, global_phase=0.7))
+        packet = gaussian_packet(grid) * np.exp(0.7j)
         spectrum = to_frequency(packet)
         back = to_time(grid, spectrum)
         assert np.max(np.abs(back.samples - packet.samples)) <= 1e-12
@@ -202,14 +201,14 @@ class TestExactInvariants:
         plan = NetworkPlan.fifo(grid, mirror, base, 1)
         channel = UserChannel(1, plan.codes[1], (1, 0))
         trace = propagate_photon(channel, 1, plan)
-        sent = channel_envelope(channel, grid)
+        sent = gaussian_packet(grid, 0)
         assert norm_sq(trace.envelope) == pytest.approx(1.0, abs=1e-12)
         assert fidelity(sent, trace.envelope) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_reflectivity_stage_is_transparent(self):
         grid = TimeGrid(1.0, 31, 4)
         base = msequence_code(LfsrSpec(5))
-        packet = gaussian_packet(grid, PacketSpec(0))
+        packet = gaussian_packet(grid)
         out = mux_old_path(packet, shift_code(base, 2), FbgSpec(8.0, peak_reflectivity=0.0))
         assert np.max(np.abs(out.samples - packet.samples)) <= 1e-12
 
@@ -383,7 +382,7 @@ class TestIdealBoundTrend:
         # deterministic cost of the one matched add-drop trip (two
         # reflections); the chain terms sit on top of this
         grid = TimeGrid(1.0, 4095, 4)
-        packet = gaussian_packet(grid, PacketSpec(0))
+        packet = gaussian_packet(grid)
         r, _ = grating_response(grid.frequencies, FbgSpec(8.0))
         return 1.0 - spectral_norm_sq(grid, to_frequency(packet) * r * r)
 
@@ -408,9 +407,11 @@ class TestIdealBoundTrend:
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self):
         for make in (
-            lambda: loss_config(n_registers=(8,), users=(5,), trials=6, rng_seed=777),
-            lambda: crosstalk_config(
-                n_registers=(5,), users=(3,), trials=4, rng_seed=777
+            lambda: ScenarioConfig(
+                kind="loss", n_registers=(8,), users=(5,), trials=6, rng_seed=777
+            ),
+            lambda: ScenarioConfig(
+                kind="crosstalk", n_registers=(5,), users=(3,), trials=4, rng_seed=777
             ),
         ):
             first = run_experiment(make())

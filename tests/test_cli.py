@@ -8,7 +8,7 @@ import pytest
 
 from spreadmux import cli
 from spreadmux.cli import main
-from spreadmux.experiments import run_experiment, trace_config
+from spreadmux.experiments import ScenarioConfig, run_experiment
 
 TINY_SIM = [
     "simulate", "--kind", "loss",
@@ -127,6 +127,17 @@ class TestValidateCommand:
         assert out == ""  # rejected before any family is validated
         assert "spreadmux: error: config:" in err and "17" in err
 
+    def test_empty_range_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["validate", "--min-registers", "6", "--max-registers", "3"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "spreadmux: error: config: --min-registers 6 exceeds --max-registers 3"
+        )
+        assert err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def test_csv_report(self, capsys):
@@ -196,6 +207,34 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"spreadmux: error: config: {field}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, samples",
+        [
+            # 2 waveform and 8000 packet rows of a 992 000-sample grid
+            (["simulate", "--kind", "crosstalk", "--n-registers", "5", "--users", "2",
+              "--trials", "1", "--bits-per-user", "8000"], 8002 * 992_000),
+            # 16000 waveform rows and one packet row of a 65 532-sample grid
+            (["simulate", "--kind", "loss", "--n-registers", "14", "--users", "16000",
+              "--trials", "1"], 16001 * 65_532),
+            # 2 waveform and 700 packet rows of a 1 430 800-sample grid
+            (["traces", "--n-registers", "9", "--users", "2", "--bits-per-user", "700"],
+             702 * 1_430_800),
+        ],
+        ids=["packet_rows", "waveform_rows", "trace"],
+    )
+    def test_oversized_plan_rejected_before_any_cell(
+        self, capsys, monkeypatch, argv, samples
+    ):
+        def refuse(config):
+            raise AssertionError("a cell ran before the configuration was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"spreadmux: error: config: plan of {samples} samples")
         assert err.count("\n") == 1
 
     def test_one_sample_per_chip_rejected_before_any_cell(self, capsys):
@@ -362,7 +401,7 @@ class TestTracesCommand:
         lines = density.read_text().splitlines()
         assert "time,receiver_1,receiver_2" in lines
         result = run_experiment(
-            trace_config(n_registers=(5,), users=(2,), bits_per_user=3)
+            ScenarioConfig(kind="trace", n_registers=(5,), users=(2,), bits_per_user=3)
         )
         columns = [result.grid.times] + [result.densities[uid] for uid in (1, 2)]
         expected = [",".join(f"{v:.10g}" for v in row) for row in zip(*columns)]
@@ -447,7 +486,7 @@ class TestOutputPaths:
 class TestDensityWriter:
     def test_bytes_match_savetxt_across_blocks(self, tmp_path):
         result = run_experiment(
-            trace_config(n_registers=(9,), users=(3,), bits_per_user=5)
+            ScenarioConfig(kind="trace", n_registers=(9,), users=(3,), bits_per_user=5)
         )
         rows = result.grid.n_samples
         assert rows > 2 * cli._DENSITY_BLOCK_ROWS

@@ -17,16 +17,12 @@ from spreadmux.experiments import (
     ReportCell,
     ScenarioConfig,
     TraceResult,
-    crosstalk_config,
-    fidelity_config,
-    loss_config,
     reproduction_config,
     run_crosstalk,
     run_experiment,
     run_fidelity,
     run_loss,
     run_trace,
-    trace_config,
 )
 
 TINY = dict(n_registers=(5,), users=(2,), trials=3)
@@ -112,17 +108,20 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "kind, largest_ok",
         [
-            # 2**23 samples over the n=15 code's 32767 chips
+            # 2**23 samples on one grid over the n=15 code's 32767 chips
             ("loss", {"samples_per_chip": 256}),
             ("fidelity", {"samples_per_chip": 128}),
-            ("crosstalk", {"bits_per_user": 64}),
-            ("trace", {"bits_per_user": 64}),
+            # 2**26 samples over the plan's 5 waveform and b packet rows, each
+            # of b bins: (5 + b) * b * 32767 * 4 passes at b = 20, not at 21
+            ("crosstalk", {"bits_per_user": 20}),
+            ("trace", {"bits_per_user": 20}),
         ],
     )
     def test_grid_size_bounded(self, kind, largest_ok):
         ScenarioConfig(kind=kind, n_registers=(15,), users=(5,), **largest_ok)
         ((field, value),) = largest_ok.items()
-        with pytest.raises(ValueError, match="grid of .* samples"):
+        bound = "grid" if field == "samples_per_chip" else "plan"
+        with pytest.raises(ValueError, match=f"{bound} of .* samples"):
             ScenarioConfig(kind=kind, n_registers=(15,), users=(5,), **{field: value + 1})
 
     def test_default_trials_per_kind(self):
@@ -147,11 +146,9 @@ class TestScenarioConfig:
 
 class TestFactories:
     def test_kind_specific_defaults(self):
-        assert loss_config().kind == "loss"
-        assert crosstalk_config().kind == "crosstalk"
-        assert fidelity_config().n_registers == (10,)
-        assert trace_config().n_registers == (15,)
-        assert trace_config().users == (5,)
+        assert ScenarioConfig(kind="fidelity").n_registers == (8, 10, 12)
+        assert ScenarioConfig(kind="trace").n_registers == (15,)
+        assert ScenarioConfig(kind="trace").users == (5,)
 
     def test_reproduction_presets(self):
         cfg = reproduction_config("loss")
@@ -176,7 +173,7 @@ class TestFactories:
 
 class TestRunLoss:
     def test_report_layout(self):
-        report = run_loss(loss_config(**TINY))
+        report = run_loss(ScenarioConfig(kind="loss", **TINY))
         assert isinstance(report, MetricsReport)
         assert report.metric == "loss_probability"
         assert len(report.cells) == 1
@@ -189,25 +186,28 @@ class TestRunLoss:
     def test_single_user_is_deterministic_floor(self):
         # no foreign stages: every trial returns the matched double
         # reflection loss, so the spread collapses
-        report = run_loss(loss_config(n_registers=(10,), users=(1,), trials=2))
+        report = run_loss(
+            ScenarioConfig(kind="loss", n_registers=(10,), users=(1,), trials=2)
+        )
         cell = report.cell(10, 1)
         assert cell.stderr == pytest.approx(0.0, abs=1e-15)
         assert cell.mean == pytest.approx(0.037374, abs=5e-6)
 
     def test_seed_changes_values(self):
-        a = run_loss(loss_config(n_registers=(5,), users=(3,), trials=8))
-        b = run_loss(
-            loss_config(n_registers=(5,), users=(3,), trials=8, rng_seed=999)
-        )
+        kwargs = dict(kind="loss", n_registers=(5,), users=(3,), trials=8)
+        a = run_loss(ScenarioConfig(**kwargs))
+        b = run_loss(ScenarioConfig(**kwargs, rng_seed=999))
         assert a.cell(5, 3).mean != b.cell(5, 3).mean
 
 
 class TestRunCrosstalk:
     def test_metric_name_tracks_normalisation(self):
-        per_bin = run_crosstalk(crosstalk_config(**TINY, bits_per_user=2))
+        per_bin = run_crosstalk(
+            ScenarioConfig(kind="crosstalk", **TINY, bits_per_user=2)
+        )
         per_word = run_crosstalk(
-            crosstalk_config(
-                **TINY, bits_per_user=2, crosstalk_per_bin=False
+            ScenarioConfig(
+                kind="crosstalk", **TINY, bits_per_user=2, crosstalk_per_bin=False
             )
         )
         assert per_bin.metric == "crosstalk_probability_per_bin"
@@ -216,22 +216,26 @@ class TestRunCrosstalk:
         assert ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_values_non_negative(self):
-        report = run_crosstalk(crosstalk_config(**TINY, bits_per_user=2))
+        report = run_crosstalk(
+            ScenarioConfig(kind="crosstalk", **TINY, bits_per_user=2)
+        )
         assert report.cell(5, 2).mean >= 0.0
 
     def test_drop_order_convention_changes_result(self):
         # enough trials that some draw an empty receiver behind other drops,
         # where the two orderings genuinely differ
-        kwargs = dict(n_registers=(5,), users=(4,), trials=8, bits_per_user=2)
-        fifo = run_crosstalk(crosstalk_config(**kwargs))
-        first = run_crosstalk(crosstalk_config(**kwargs, empty_drop_first=True))
+        kwargs = dict(
+            kind="crosstalk", n_registers=(5,), users=(4,), trials=8, bits_per_user=2
+        )
+        fifo = run_crosstalk(ScenarioConfig(**kwargs))
+        first = run_crosstalk(ScenarioConfig(**kwargs, empty_drop_first=True))
         assert fifo.cell(5, 4).mean != first.cell(5, 4).mean
 
 
 class TestRunFidelity:
     def test_one_cell_per_state(self):
         report = run_fidelity(
-            fidelity_config(n_registers=(5,), users=(2,), trials=2)
+            ScenarioConfig(kind="fidelity", n_registers=(5,), users=(2,), trials=2)
         )
         labels = {c.label for c in report.cells}
         assert labels == {"zero", "one", "plus", "minus"}
@@ -241,7 +245,7 @@ class TestRunFidelity:
 
     def test_label_lookup(self):
         report = run_fidelity(
-            fidelity_config(n_registers=(5,), users=(2,), trials=2)
+            ScenarioConfig(kind="fidelity", n_registers=(5,), users=(2,), trials=2)
         )
         assert report.cell(5, 2, "plus").label == "plus"
         with pytest.raises(KeyError):
@@ -251,7 +255,7 @@ class TestRunFidelity:
 class TestRunTrace:
     def test_structure(self):
         result = run_trace(
-            trace_config(n_registers=(5,), users=(3,), bits_per_user=4)
+            ScenarioConfig(kind="trace", n_registers=(5,), users=(3,), bits_per_user=4)
         )
         assert isinstance(result, TraceResult)
         assert result.users == (1, 2, 3)
@@ -263,7 +267,7 @@ class TestRunTrace:
 
     def test_detections_track_sent_bits(self):
         result = run_trace(
-            trace_config(n_registers=(8,), users=(2,), bits_per_user=4)
+            ScenarioConfig(kind="trace", n_registers=(8,), users=(2,), bits_per_user=4)
         )
         for uid in result.users:
             for bit, det in zip(result.bits[uid], result.detections[uid]):
@@ -275,17 +279,17 @@ class TestRunTrace:
 
 class TestRunExperiment:
     def test_dispatch(self):
-        report = run_experiment(loss_config(**TINY))
+        report = run_experiment(ScenarioConfig(kind="loss", **TINY))
         assert isinstance(report, MetricsReport)
         result = run_experiment(
-            trace_config(n_registers=(5,), users=(2,), bits_per_user=2)
+            ScenarioConfig(kind="trace", n_registers=(5,), users=(2,), bits_per_user=2)
         )
         assert isinstance(result, TraceResult)
 
 
 class TestDeterminism:
     def test_loss_reports_byte_identical(self):
-        cfg = loss_config(n_registers=(5,), users=(3,), trials=5)
+        cfg = ScenarioConfig(kind="loss", n_registers=(5,), users=(3,), trials=5)
         a = run_loss(cfg)
         b = run_loss(cfg)
         assert a.to_csv_text() == b.to_csv_text()
@@ -294,15 +298,21 @@ class TestDeterminism:
     def test_cell_order_independent_of_execution(self):
         # trial generators hang off (seed, kind, cell, trial), so narrowing
         # the grid must not change the values inside a cell
-        wide = run_loss(loss_config(n_registers=(4, 5), users=(2, 3), trials=3))
-        narrow = run_loss(loss_config(n_registers=(5,), users=(3,), trials=3))
+        wide = run_loss(
+            ScenarioConfig(kind="loss", n_registers=(4, 5), users=(2, 3), trials=3)
+        )
+        narrow = run_loss(
+            ScenarioConfig(kind="loss", n_registers=(5,), users=(3,), trials=3)
+        )
         assert wide.cell(5, 3).mean == narrow.cell(5, 3).mean
 
 
 class TestReportSerialisation:
     @pytest.fixture
     def report(self):
-        return run_loss(loss_config(n_registers=(5,), users=(2, 3), trials=2))
+        return run_loss(
+            ScenarioConfig(kind="loss", n_registers=(5,), users=(2, 3), trials=2)
+        )
 
     def test_csv_layout(self, report):
         lines = report.to_csv_text().splitlines()
@@ -315,7 +325,7 @@ class TestReportSerialisation:
 
     def test_labelled_csv_has_state_column(self):
         report = run_fidelity(
-            fidelity_config(n_registers=(5,), users=(2,), trials=2)
+            ScenarioConfig(kind="fidelity", n_registers=(5,), users=(2,), trials=2)
         )
         lines = report.to_csv_text().splitlines()
         assert "S,N,state,mean,stderr,trials" in lines

@@ -17,7 +17,6 @@ from spreadmux.metrics import (
 )
 from spreadmux.network import NetworkPlan, PhotonTrace, UserChannel, propagate_photon
 from spreadmux.signal import (
-    PacketSpec,
     SampledEnvelope,
     gaussian_packet,
     inner_product,
@@ -55,27 +54,27 @@ class TestLossAndCrosstalk:
 
 class TestFidelity:
     def test_identical_states(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         assert fidelity(env, env) == pytest.approx(1.0, rel=1e-12)
 
     def test_attenuation_without_distortion(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         dimmed = 0.5 * env
         assert fidelity(env, dimmed) == pytest.approx(0.25, rel=1e-12)
         assert fidelity(env, dimmed, normalize=True) == pytest.approx(1.0, rel=1e-12)
 
     def test_phase_invariance(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         rotated = env * np.exp(0.77j)
         assert fidelity(env, rotated) == pytest.approx(1.0, rel=1e-12)
 
     def test_orthogonal_states(self, grid31_2bins):
-        early = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0))
-        late = gaussian_packet(grid31_2bins, PacketSpec(bin_index=1))
+        early = gaussian_packet(grid31_2bins, 0)
+        late = gaussian_packet(grid31_2bins, 1)
         assert fidelity(early, late) < 1e-20
 
     def test_zero_received_needs_no_normalisation(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         assert fidelity(env, zero_envelope(grid31)) == 0.0
         with pytest.raises(ValueError, match="zero received"):
             fidelity(env, zero_envelope(grid31), normalize=True)
@@ -83,7 +82,7 @@ class TestFidelity:
 
 class TestPerBinDetection:
     def test_partition_of_total_probability(self, grid31_2bins):
-        env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=1))
+        env = gaussian_packet(grid31_2bins, 1)
         detections = per_bin_detection(env.density, grid31_2bins)
         assert detections.shape == (2,)
         assert detections.sum() == pytest.approx(norm_sq(env), rel=1e-12)

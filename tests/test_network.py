@@ -12,7 +12,6 @@ from spreadmux.network import (
     NetworkPlan,
     PhotonTrace,
     UserChannel,
-    channel_envelope,
     propagate_envelope,
     propagate_photon,
     receiver_densities,
@@ -25,12 +24,7 @@ from spreadmux.optics import (
     mux_new_path,
     mux_old_path,
 )
-from spreadmux.signal import (
-    PacketSpec,
-    TimeGrid,
-    gaussian_packet,
-    norm_sq,
-)
+from spreadmux.signal import SampledEnvelope, TimeGrid, gaussian_packet, norm_sq
 
 # closed-form matched-link delivery, see test_optics for the derivation
 SINGLE_USER_DELIVERED = 0.962626135683
@@ -113,27 +107,30 @@ class TestNetworkPlan:
 
 
 class TestChannelEnvelope:
-    def test_bit_count_must_match_bins(self, grid31, code5):
+    """The amplitude a channel launches: ``plan.word`` of its bits, with the
+    launch phase applied by ``propagate_photon`` to what arrives."""
+
+    def test_bit_count_must_match_bins(self, plan3):
         with pytest.raises(ValueError, match="bits"):
-            channel_envelope(UserChannel(1, code5, (1, 0)), grid31)
+            propagate_photon(UserChannel(1, plan3.codes[1], (1, 0)), 1, plan3)
 
-    def test_all_zero_word_is_dark(self, grid31, code5):
-        env = channel_envelope(UserChannel(1, code5, (0,)), grid31)
-        assert norm_sq(env) == 0.0
+    def test_all_zero_word_is_dark(self, plan3):
+        assert not np.any(plan3.word((0,)))
 
-    def test_norm_counts_occupied_bins(self, grid31_2bins, code5):
-        env = channel_envelope(UserChannel(1, code5, (1, 1)), grid31_2bins)
-        assert norm_sq(env) == pytest.approx(2.0, rel=1e-9)
+    def test_norm_counts_occupied_bins(self, grid31_2bins, fbg, code5):
+        plan = NetworkPlan.fifo(grid31_2bins, fbg, code5, 1)
+        word = SampledEnvelope(grid31_2bins, plan.word((1, 1)))
+        assert norm_sq(word) == pytest.approx(2.0, rel=1e-9)
 
-    def test_phase_applied_to_every_packet(self, grid31_2bins, code5):
-        import cmath
-
-        plain = channel_envelope(UserChannel(1, code5, (1, 1)), grid31_2bins)
-        rotated = channel_envelope(
-            UserChannel(1, code5, (1, 1), global_phase=0.9), grid31_2bins
+    def test_phase_applied_to_every_packet(self, grid31_2bins, fbg, code5):
+        plan = NetworkPlan.fifo(grid31_2bins, fbg, code5, 1)
+        code = plan.codes[1]
+        plain = propagate_photon(UserChannel(1, code, (1, 1)), 1, plan)
+        rotated = propagate_photon(
+            UserChannel(1, code, (1, 1), global_phase=0.9), 1, plan
         )
         np.testing.assert_allclose(
-            rotated.samples, plain.samples * cmath.exp(0.9j), atol=1e-12
+            rotated.envelope.samples, plain.envelope.samples * np.exp(0.9j), atol=1e-12
         )
 
 
@@ -146,11 +143,27 @@ class TestPlanWord:
 
     @pytest.mark.parametrize("name", sorted(WORDS))
     def test_matches_channel_envelope(self, fbg, code5, name):
+        # a channel's envelope is the unit packet of every 1-bit, added in
+        # bit order
         grid = TimeGrid(1.0, 31, 4, n_bins=8)
         plan = NetworkPlan.fifo(grid, fbg, code5, 1)
         bits = self.WORDS[name]
-        expected = channel_envelope(UserChannel(1, code5, bits), grid).samples.real
+        expected = np.zeros(grid.n_samples)
+        for k, bit in enumerate(bits):
+            if bit:
+                expected = expected + gaussian_packet(grid, k).samples.real
         assert np.array_equal(plan.word(bits), expected)
+
+    @pytest.mark.parametrize("name", sorted(WORDS))
+    def test_matches_reference_launch(self, fbg, code5, name):
+        reference = _reference_module()
+        grid = TimeGrid(1.0, 31, reference.SAMPLES_PER_CHIP, n_bins=8)
+        plan = NetworkPlan.fifo(grid, fbg, code5, 1)
+        expected = reference.ReferenceChain(code5.chips, 8, fbg.sigma_filt).launch(
+            self.WORDS[name]
+        )
+        peak = np.max(np.abs(expected))
+        assert np.max(np.abs(plan.word(self.WORDS[name]) - expected)) <= 1e-12 * peak
 
     def test_bit_count_must_match_bins(self, plan3):
         with pytest.raises(ValueError, match="bits"):
@@ -167,17 +180,17 @@ class TestPropagation:
         )
 
     def test_unknown_source_rejected(self, plan3, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         with pytest.raises(ValueError, match="no Add stage"):
             propagate_envelope(env, 9, 1, plan3)
 
     def test_unknown_receiver_rejected(self, plan3, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         with pytest.raises(ValueError, match="no Drop stage"):
             propagate_envelope(env, 1, 9, plan3)
 
     def test_grid_mismatch_rejected(self, plan3, grid31_2bins):
-        env = gaussian_packet(grid31_2bins, PacketSpec())
+        env = gaussian_packet(grid31_2bins)
         with pytest.raises(ValueError, match="grid"):
             propagate_envelope(env, 1, 1, plan3)
 
@@ -188,7 +201,7 @@ class TestPropagation:
         grid = TimeGrid(1.0, 255, 4)
         base = msequence_code(LfsrSpec(8))
         plan = NetworkPlan.fifo(grid, fbg, base, 3)
-        env = gaussian_packet(grid, PacketSpec())
+        env = gaussian_packet(grid)
         matched = norm_sq(propagate_envelope(env, 1, 1, plan))
         foreign = norm_sq(propagate_envelope(env, 1, 2, plan))
         assert matched > 0.7
@@ -294,19 +307,19 @@ class TestWalkAgainstStageComposition:
         grid = TimeGrid(1.0, 31, samples_per_chip, n_bins)
         assert grid.n_samples % 2 == (1 if samples_per_chip == 3 else 0)
         plan = interleaved_plan(grid, fbg, code5)
-        env = gaussian_packet(grid, PacketSpec(bin_index=n_bins - 1))
+        env = gaussian_packet(grid, n_bins - 1)
         assert_walk_matches_composition(env, plan)
 
     @pytest.mark.parametrize("transition_time", [0.3 / 31], ids=["finite_transition"])
     def test_complex_operator(self, grid31_2bins, fbg, code5, transition_time):
         plan = interleaved_plan(grid31_2bins, fbg, code5, transition_time)
-        env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0, global_phase=0.4))
+        env = gaussian_packet(grid31_2bins, 0) * np.exp(0.4j)
         assert_walk_matches_composition(env, plan)
 
     def test_complex_input_through_real_operator(self, grid31_2bins, fbg, code5):
         # two packets with different phases: no global phase makes this real
-        env = gaussian_packet(grid31_2bins, PacketSpec(0, global_phase=0.3)) + (
-            gaussian_packet(grid31_2bins, PacketSpec(1, global_phase=2.1))
+        env = gaussian_packet(grid31_2bins, 0) * np.exp(0.3j) + (
+            gaussian_packet(grid31_2bins, 1) * np.exp(2.1j)
         )
         assert np.any(env.samples.imag) and np.any(env.samples.real)
         plan = interleaved_plan(grid31_2bins, fbg, code5)
@@ -330,9 +343,11 @@ class TestWalkAgainstStageComposition:
             assert np.max(np.abs(densities[receiver] - expected)) <= 1e-12 * peak
 
     def test_run_trace_matches_per_pair_walks(self):
-        from spreadmux.experiments import DEFAULT_SIGMA_FILT, run_trace, trace_config
+        from spreadmux.experiments import DEFAULT_SIGMA_FILT, ScenarioConfig, run_trace
 
-        result = run_trace(trace_config(n_registers=(5,), users=(3,), bits_per_user=4))
+        result = run_trace(
+            ScenarioConfig(kind="trace", n_registers=(5,), users=(3,), bits_per_user=4)
+        )
         plan = NetworkPlan.fifo(
             result.grid, FbgSpec(DEFAULT_SIGMA_FILT), msequence_code(LfsrSpec(5)), 3
         )

@@ -17,7 +17,6 @@ from spreadmux.codes import LfsrSpec, msequence_code, shift_code
 from spreadmux.optics import (
     FbgSpec,
     Grating,
-    ModulatorSpec,
     demux_drop_path,
     demux_through_path,
     fbg_reflect,
@@ -30,7 +29,6 @@ from spreadmux.optics import (
 )
 from spreadmux.signal import (
     DEFAULT_SIGMA_FACTOR,
-    PacketSpec,
     SampledEnvelope,
     TimeGrid,
     gaussian_packet,
@@ -53,48 +51,40 @@ def mean_r4(sigma_filt: float) -> float:
 
 @pytest.fixture
 def packet(grid31):
-    return gaussian_packet(grid31, PacketSpec())
+    return gaussian_packet(grid31)
 
 
 class TestModulationWaveform:
     def test_ideal_waveform_is_chip_train(self, grid31, code5):
-        wave = modulation_waveform(ModulatorSpec(code5, 1.0), grid31)
+        wave = modulation_waveform(code5, grid31)
         expected = np.repeat(code5.chips.astype(np.complex128), 4)
         np.testing.assert_array_equal(wave, expected)
 
     def test_code_restarts_every_bin(self, grid31_2bins, code5):
-        wave = modulation_waveform(ModulatorSpec(code5, 1.0), grid31_2bins)
+        wave = modulation_waveform(code5, grid31_2bins)
         half = grid31_2bins.samples_per_bin
         np.testing.assert_array_equal(wave[:half], wave[half:])
 
     def test_code_grid_mismatch(self, grid31):
         wrong = msequence_code(LfsrSpec(4))
         with pytest.raises(ValueError, match="code length"):
-            modulation_waveform(ModulatorSpec(wrong, 1.0), grid31)
+            modulation_waveform(wrong, grid31)
 
-    def test_bin_duration_mismatch(self, grid31, code5):
-        with pytest.raises(ValueError, match="bin_duration"):
-            modulation_waveform(ModulatorSpec(code5, 2.0), grid31)
-
-    def test_transition_must_fit_in_chip(self, code5):
+    def test_transition_must_fit_in_chip(self, grid31, code5):
         chip = 1.0 / 31
         with pytest.raises(ValueError, match="transition_time"):
-            ModulatorSpec(code5, 1.0, transition_time=chip)
+            modulation_waveform(code5, grid31, transition_time=chip)
         with pytest.raises(ValueError, match="transition_time"):
-            ModulatorSpec(code5, 1.0, transition_time=-0.001)
+            modulation_waveform(code5, grid31, transition_time=-0.001)
 
     def test_finite_transition_keeps_unit_magnitude(self, grid31, code5):
         tau = 0.4 / 31
-        wave = modulation_waveform(
-            ModulatorSpec(code5, 1.0, transition_time=tau), grid31
-        )
+        wave = modulation_waveform(code5, grid31, transition_time=tau)
         np.testing.assert_allclose(np.abs(wave), 1.0, atol=1e-12)
 
     def test_finite_transition_matches_chips_away_from_edges(self, grid31, code5):
         tau = 0.4 / 31
-        wave = modulation_waveform(
-            ModulatorSpec(code5, 1.0, transition_time=tau), grid31
-        )
+        wave = modulation_waveform(code5, grid31, transition_time=tau)
         ideal = np.repeat(code5.chips.astype(np.complex128), 4)
         # chip centres sit two samples past each boundary, outside the ramp
         centres = np.arange(31) * 4 + 2
@@ -103,12 +93,11 @@ class TestModulationWaveform:
 
 class TestModulate:
     def test_norm_preserving(self, packet, code5):
-        out = modulate(packet, ModulatorSpec(code5, 1.0))
+        out = modulate(packet, code5)
         assert norm_sq(out) == pytest.approx(norm_sq(packet), rel=1e-14)
 
     def test_self_inverse(self, packet, code5):
-        spec = ModulatorSpec(code5, 1.0)
-        back = modulate(modulate(packet, spec), spec)
+        back = modulate(modulate(packet, code5), code5)
         np.testing.assert_allclose(back.samples, packet.samples, atol=1e-14)
 
     def test_spreads_the_spectrum(self):
@@ -117,9 +106,9 @@ class TestModulate:
         from spreadmux.signal import TimeGrid
 
         grid = TimeGrid(1.0, 1023, 4)
-        packet = gaussian_packet(grid, PacketSpec())
+        packet = gaussian_packet(grid)
         code = msequence_code(LfsrSpec(10))
-        spread = modulate(packet, ModulatorSpec(code, 1.0))
+        spread = modulate(packet, code)
         f = grid.frequencies
         band = np.abs(f) <= 4.0
         spec_in = np.fft.fft(packet.samples)
@@ -130,15 +119,13 @@ class TestModulate:
         assert frac_out < 0.03
 
     def test_finite_transition_still_norm_preserving(self, packet, code5):
-        spec = ModulatorSpec(code5, 1.0, transition_time=0.3 / 31)
-        out = modulate(packet, spec)
+        out = modulate(packet, code5, transition_time=0.3 / 31)
         assert norm_sq(out) == pytest.approx(norm_sq(packet), rel=1e-12)
 
     def test_finite_transition_degrades_despreading(self, packet, code5):
         # residual mismatch after a double pass grows with the ramp time
         def residual(tau: float) -> float:
-            spec = ModulatorSpec(code5, 1.0, transition_time=tau)
-            back = modulate(modulate(packet, spec), spec)
+            back = modulate(modulate(packet, code5, tau), code5, tau)
             return float(np.sum(np.abs(back.samples - packet.samples) ** 2))
 
         taus = [0.0, 0.1 / 31, 0.2 / 31, 0.4 / 31]
@@ -246,7 +233,7 @@ class TestFbg:
         grid, fbg, _ = self.band_grid(name)
         code = msequence_code(LfsrSpec(round(math.log2(grid.chips_per_bin + 1))))
         tau = 0.3 * grid.bin_duration / grid.chips_per_bin
-        wave = modulation_waveform(ModulatorSpec(code, 1.0, tau), grid)
+        wave = modulation_waveform(code, grid, tau)
         assert np.any(wave.imag)
         env = SampledEnvelope(grid, rng.normal(size=grid.n_samples))
         reflect, transmit = grating_response(grid.frequencies, fbg)
@@ -333,7 +320,7 @@ class TestStagePaths:
         def skim(n: int) -> float:
             grid = TimeGrid(1.0, 2**n - 1, 4)
             code = msequence_code(LfsrSpec(n))
-            added = mux_new_path(gaussian_packet(grid, PacketSpec()), code, fbg)
+            added = mux_new_path(gaussian_packet(grid), code, fbg)
             through = mux_old_path(added, shift_code(code, 7), fbg)
             return norm_sq(added) - norm_sq(through)
 
@@ -356,8 +343,8 @@ class TestStagePaths:
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_paths_are_linear(self, grid31, code5, fbg):
-        a = gaussian_packet(grid31, PacketSpec())
-        b = gaussian_packet(grid31, PacketSpec(global_phase=2.0, amplitude=0.5))
+        a = gaussian_packet(grid31)
+        b = gaussian_packet(grid31) * (0.5 * np.exp(2.0j))
         combined = mux_new_path(a + b, code5, fbg)
         separate = mux_new_path(a, code5, fbg) + mux_new_path(b, code5, fbg)
         np.testing.assert_allclose(combined.samples, separate.samples, atol=1e-12)

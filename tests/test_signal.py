@@ -12,12 +12,10 @@ import pytest
 
 from spreadmux.signal import (
     DEFAULT_SIGMA_FACTOR,
-    PacketSpec,
     SampledEnvelope,
     TimeGrid,
     gaussian_packet,
     inner_product,
-    integrate_window,
     norm_sq,
     spectral_norm_sq,
     to_frequency,
@@ -71,8 +69,8 @@ class TestSampledEnvelope:
             env.samples[0] = 1.0
 
     def test_arithmetic(self, grid31):
-        a = gaussian_packet(grid31, PacketSpec())
-        b = gaussian_packet(grid31, PacketSpec(global_phase=np.pi))
+        a = gaussian_packet(grid31)
+        b = gaussian_packet(grid31) * np.exp(1j * np.pi)
         np.testing.assert_allclose((a + b).samples, a.samples + b.samples)
         np.testing.assert_allclose((a - b).samples, a.samples - b.samples)
         np.testing.assert_allclose((2.0 * a).samples, 2.0 * a.samples)
@@ -85,73 +83,48 @@ class TestSampledEnvelope:
             a + b
 
     def test_density_is_abs_squared(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec(global_phase=1.3))
+        env = gaussian_packet(grid31) * np.exp(1.3j)
         np.testing.assert_allclose(env.density, np.abs(env.samples) ** 2)
 
 
 class TestGaussianPacket:
     def test_unit_norm_exact(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         assert norm_sq(env) == pytest.approx(1.0, abs=1e-14)
 
-    def test_amplitude_scales_norm(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec(amplitude=0.5))
-        assert norm_sq(env) == pytest.approx(0.25, abs=1e-14)
-
-    def test_zero_amplitude_gives_zero(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec(amplitude=0.0))
-        assert norm_sq(env) == 0.0
-
     def test_centred_in_requested_bin(self, grid31_2bins):
-        env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=1))
+        env = gaussian_packet(grid31_2bins, 1)
         t = grid31_2bins.times
         centroid = np.sum(t * env.density) * grid31_2bins.dt
         assert centroid == pytest.approx(1.5, rel=1e-9)
 
     def test_default_width_of_probability_profile(self, grid31):
         # |psi|^2 std should equal DEFAULT_SIGMA_FACTOR * T = 0.1 T / sqrt(2)
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         t = grid31.times
         var = np.sum((t - 0.5) ** 2 * env.density) * grid31.dt
         assert math.sqrt(var) == pytest.approx(DEFAULT_SIGMA_FACTOR, rel=1e-6)
 
     def test_amplitude_profile_std_is_tenth_of_bin(self, grid31):
         # |psi| itself is Gaussian with std sqrt(2) * sigma = 0.1 T
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         amp = np.abs(env.samples)
         weight = amp / (np.sum(amp) * grid31.dt)
         var = np.sum((grid31.times - 0.5) ** 2 * weight) * grid31.dt
         assert math.sqrt(var) == pytest.approx(0.1, rel=1e-4)
 
-    def test_global_phase(self, grid31):
-        plain = gaussian_packet(grid31, PacketSpec())
-        rotated = gaussian_packet(grid31, PacketSpec(global_phase=0.7))
-        np.testing.assert_allclose(
-            rotated.samples, plain.samples * np.exp(0.7j), atol=1e-15
-        )
-
     def test_adjacent_bin_overlap_default_width(self, grid31_2bins):
         # amplitude overlap of unit packets one bin apart is exp(-T^2 /
         # (8 sigma^2)) = exp(-25) ~ 1.39e-11 for the default width
-        a = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0))
-        b = gaussian_packet(grid31_2bins, PacketSpec(bin_index=1))
+        a = gaussian_packet(grid31_2bins, 0)
+        b = gaussian_packet(grid31_2bins, 1)
         overlap = abs(inner_product(a, b))
         assert overlap < 1e-6  # negligible for two-bin encodings
         assert overlap == pytest.approx(math.exp(-25.0), rel=1e-2)
 
-    def test_adjacent_bin_overlap_wide_packets(self, grid31_2bins):
-        # with sigma = 0.1 T the same integral is exp(-12.5) ~ 3.73e-6
-        a = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0, sigma=0.1))
-        b = gaussian_packet(grid31_2bins, PacketSpec(bin_index=1, sigma=0.1))
-        assert abs(inner_product(a, b)) == pytest.approx(math.exp(-12.5), rel=1e-3)
-
     def test_bin_index_validated(self, grid31):
         with pytest.raises(ValueError, match="bin_index"):
-            gaussian_packet(grid31, PacketSpec(bin_index=1))
-
-    def test_sigma_validated(self, grid31):
-        with pytest.raises(ValueError, match="sigma"):
-            gaussian_packet(grid31, PacketSpec(sigma=-0.1))
+            gaussian_packet(grid31, 1)
 
 
 class TestTransforms:
@@ -180,7 +153,7 @@ class TestTransforms:
     def test_packet_spectral_width(self, grid31):
         # Fourier pair: |psi|^2 std sigma_t gives spectral density std
         # 1 / (4 pi sigma_t), here 10 sqrt(2) / (4 pi) ~ 1.1254 cycles per T
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         spectrum = to_frequency(env)
         f = grid31.frequencies
         density = np.abs(spectrum) ** 2
@@ -190,7 +163,7 @@ class TestTransforms:
         assert math.sqrt(var) == pytest.approx(expected, rel=1e-4)
 
     def test_packet_spectrum_concentrated_at_baseband(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
+        env = gaussian_packet(grid31)
         spectrum = to_frequency(env)
         f = grid31.frequencies
         inside = np.abs(f) <= 4.0  # ~3.5 spectral widths
@@ -209,23 +182,5 @@ class TestInnerProductAndWindows:
             inner_product(zero_envelope(grid31), zero_envelope(grid31_2bins))
 
     def test_norm_is_self_inner_product(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec(global_phase=0.4))
+        env = gaussian_packet(grid31) * np.exp(0.4j)
         assert norm_sq(env) == pytest.approx(inner_product(env, env).real, rel=1e-12)
-
-    def test_window_partition(self, grid31_2bins):
-        env = gaussian_packet(grid31_2bins, PacketSpec(bin_index=0))
-        first = integrate_window(env, 0.0, 1.0)
-        second = integrate_window(env, 1.0, 2.0)
-        assert first + second == pytest.approx(norm_sq(env), rel=1e-12)
-        assert first == pytest.approx(1.0, abs=1e-9)
-        assert second < 1e-9
-
-    def test_half_window_of_centred_packet(self, grid31):
-        env = gaussian_packet(grid31, PacketSpec())
-        # bin centre falls on a sample, so the split is half plus half a sample
-        left = integrate_window(env, 0.0, 0.5)
-        assert left == pytest.approx(0.5, abs=0.05)
-
-    def test_window_order_validated(self, grid31):
-        with pytest.raises(ValueError, match="t_stop"):
-            integrate_window(zero_envelope(grid31), 1.0, 0.0)
